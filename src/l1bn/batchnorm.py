@@ -9,11 +9,16 @@ Training forward, per feature (statistics pooled over the batch axes):
 
 The L1 deviation of a Gaussian is smaller than its standard deviation by the
 constant sqrt(π/2) ≈ 1.2533; ``L1_COMPENSATED`` folds that factor into σ_B so
-the normalized output matches the L2 scale without touching γ.  All backward
-passes are hand-derived closed forms, certified against finite differences by
-``l1bn.gradcheck``.  The L1 backward replaces every square/root of the L2
-chain rule with signum and absolute values, which is the whole point: those
-are the cheap operations in ``l1bn.costmodel``.
+the normalized output matches the L2 scale without touching γ.  One kernel
+serves every mode on the (N, c) view ``x.reshape(-1, c)``; with g = γ·∂ℓ/∂y,
+μ(·) the pooled mean and k the compensation constant, its backward is
+
+    ∂ℓ/∂x = (g - μ(g) - μ(g·x̂)·v) / denom,   v = x̂ (L2),  v = k·(sgn x̂ - μ(sgn x̂)) (L1)
+
+The L1 form needs signum and absolute values where L2 needs squares and roots,
+which is the whole point: those are the cheap operations in ``l1bn.costmodel``.
+``l1bn.gradcheck`` certifies it, and the term-by-term L1 chain rule kept as its
+oracle, against finite differences.
 
 Supported layouts (statistics always pool everything except the last axis):
 
@@ -62,9 +67,6 @@ class BnMode(Enum):
     L2 = "l2"
     L1 = "l1"
     L1_COMPENSATED = "l1c"
-
-
-_L1_MODES = (BnMode.L1, BnMode.L1_COMPENSATED)
 
 
 def default_l1_mode(use_affine: bool) -> BnMode:
@@ -166,6 +168,7 @@ class BnCache:
     x_hat: np.ndarray
     mode: BnMode
     epsilon: float
+    denom: np.ndarray  # per-feature sqrt(σ_B²+ε) (L2) or σ_B+ε (L1): no root in backward
 
 
 @dataclass
@@ -177,26 +180,27 @@ class GradBundle:
     d_beta: np.ndarray
 
 
+def _centre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled mean and a fresh (N, c) array of x - μ_B, pooling every axis but the last."""
+    batch_axes(x.shape)
+    rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+    if rows.shape[0] < 2:
+        raise BatchSizeError(f"need at least 2 pooled samples, got {rows.shape[0]}")
+    mu = rows.mean(axis=0)
+    return mu, rows - mu
+
+
 def l2_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pooled mean and biased variance (divisor |B|)."""
-    axes = batch_axes(x.shape)
-    if pooled_count(x.shape) < 2:
-        raise BatchSizeError(f"need at least 2 pooled samples, got {pooled_count(x.shape)}")
-    mu = reduce_mean(x, axes)
-    var = reduce_mean(np.square(x - mu), axes)
-    return mu, var
+    mu, centred = _centre(np.asarray(x, dtype=np.float64))
+    return mu, np.einsum("ij,ij->j", centred, centred) / len(centred)
 
 
 def l1_batch_stats(x: np.ndarray, compensate: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Pooled mean and mean absolute deviation, optionally scaled by sqrt(π/2)."""
-    axes = batch_axes(x.shape)
-    if pooled_count(x.shape) < 2:
-        raise BatchSizeError(f"need at least 2 pooled samples, got {pooled_count(x.shape)}")
-    mu = reduce_mean(x, axes)
-    sigma = reduce_mean(np.abs(x - mu), axes)
-    if compensate:
-        sigma = sigma * GAUSSIAN_STD_OVER_MAD
-    return mu, sigma
+    mu, centred = _centre(np.asarray(x, dtype=np.float64))
+    sigma = np.abs(centred, out=centred).mean(axis=0)
+    return mu, sigma * GAUSSIAN_STD_OVER_MAD if compensate else sigma
 
 
 def batch_deviation(x: np.ndarray, mode: BnMode) -> np.ndarray:
@@ -206,78 +210,79 @@ def batch_deviation(x: np.ndarray, mode: BnMode) -> np.ndarray:
     return l1_batch_stats(x, compensate=(mode is BnMode.L1_COMPENSATED))[1]
 
 
-def _check_features(x: np.ndarray, params: BnParams) -> None:
+def _compensation(mode: BnMode) -> float:
+    return GAUSSIAN_STD_OVER_MAD if mode is BnMode.L1_COMPENSATED else 1.0
+
+
+def _check_input(x: np.ndarray, params: BnParams) -> None:
+    batch_axes(x.shape)  # first: a 0-d x would raise IndexError below
     if x.shape[-1] != params.num_features:
         raise ShapeError(
             f"input has {x.shape[-1]} features but params carry {params.num_features}"
         )
 
 
-def bn_forward_train(x: np.ndarray, params: BnParams) -> tuple[np.ndarray, BnCache]:
-    """Normalize with fresh batch statistics; returns output and backward cache."""
-    x = np.asarray(x, dtype=np.float64)
-    batch_axes(x.shape)
-    _check_features(x, params)
-    if params.mode is BnMode.L2:
-        mu, var = l2_batch_stats(x)
-        sigma = np.sqrt(var)
-        denom = np.sqrt(sigma * sigma + params.epsilon)
-    else:
-        mu, sigma = l1_batch_stats(x, compensate=(params.mode is BnMode.L1_COMPENSATED))
-        denom = sigma + params.epsilon
-    x_hat = (x - mu) / denom
-    y = params.gamma * x_hat + params.beta if params.use_affine else x_hat
-    return y, BnCache(mu_b=mu, sigma_b=sigma, x_hat=x_hat, mode=params.mode,
-                      epsilon=params.epsilon)
-
-
-def _upstream(d_y: np.ndarray, cache: BnCache, params: BnParams) -> np.ndarray:
+def _check_upstream(d_y: np.ndarray, cache: BnCache) -> np.ndarray:
     d_y = np.asarray(d_y, dtype=np.float64)
     if d_y.shape != cache.x_hat.shape:
         raise ShapeError(f"d_y shape {d_y.shape} != forward shape {cache.x_hat.shape}")
-    return d_y * params.gamma if params.use_affine else d_y
+    return d_y
 
 
-def _affine_grads(d_y: np.ndarray, cache: BnCache, params: BnParams,
-                  axes) -> tuple[np.ndarray, np.ndarray]:
-    # γ/β do not influence the output when the affine stage is off.
-    if not params.use_affine:
-        z = np.zeros(params.num_features)
-        return z, z.copy()
-    return reduce_sum(d_y * cache.x_hat, axes), reduce_sum(d_y, axes)
+def bn_forward_train(x: np.ndarray, params: BnParams) -> tuple[np.ndarray, BnCache]:
+    """Normalize with fresh batch statistics; returns output and backward cache."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_input(x, params)
+    mu, x_hat = _centre(x)  # x - μ_B, normalized in place below
+    y = None
+    if params.mode is BnMode.L2:
+        var = np.einsum("ij,ij->j", x_hat, x_hat) / len(x_hat)  # no x² temporary
+        sigma = np.sqrt(var)
+        denom = np.sqrt(var + params.epsilon)
+    else:
+        y = np.abs(x_hat)  # |x - μ_B|; the buffer then takes the output
+        sigma = y.mean(axis=0) * _compensation(params.mode)
+        denom = sigma + params.epsilon
+    x_hat /= denom
+    if params.use_affine:
+        y = np.multiply(x_hat, params.gamma, out=y)
+        y += params.beta
+    else:
+        y = x_hat
+    cache = BnCache(mu_b=mu, sigma_b=sigma, x_hat=x_hat.reshape(x.shape), mode=params.mode,
+                    epsilon=params.epsilon, denom=denom)
+    return y.reshape(x.shape), cache
+
+
+def _backward(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle:
+    """The shared backward of the module docstring.  Σ d_y and Σ d_y·x̂ are taken
+    once each: they give μ(g) and μ(g·x̂), and are d_beta and d_gamma."""
+    d_y = _check_upstream(d_y, cache)
+    c = d_y.shape[-1]
+    dy, x_hat = d_y.reshape(-1, c), cache.x_hat.reshape(-1, c)
+    sum_dy, sum_dy_xhat = dy.sum(axis=0), np.einsum("ij,ij->j", dy, x_hat)
+    gamma = params.gamma if params.use_affine else 1.0
+    mean_g, mean_gx = gamma * sum_dy / len(dy), gamma * sum_dy_xhat / len(dy)
+    if cache.mode is BnMode.L2:
+        d_input = x_hat * (-mean_gx / cache.denom)
+    else:
+        k = _compensation(cache.mode)
+        s = sign(x_hat)  # sgn(x̂) == sgn(x - μ) since denom > 0
+        mean_g = mean_g - k * mean_gx * s.mean(axis=0)  # the per-feature part of μ(g·x̂)·v
+        d_input = np.multiply(s, -k * mean_gx / cache.denom, out=s)
+    d_input += dy * (gamma / cache.denom)
+    d_input -= mean_g / cache.denom
+    if not params.use_affine:  # γ/β do not influence the output
+        sum_dy_xhat, sum_dy = np.zeros(c), np.zeros(c)
+    return GradBundle(d_input=d_input.reshape(d_y.shape), d_gamma=sum_dy_xhat, d_beta=sum_dy)
 
 
 def bn_backward_l2(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle:
-    """Chain rule through the variance-scaled normalization.
-
-    With g = ∂ℓ/∂x̂ and pooled sums:
-
-        ∂ℓ/∂σ²  = Σ g·(x-μ) · (-1/2)(σ²+ε)^(-3/2)
-        ∂ℓ/∂μ   = Σ g · (-1)/sqrt(σ²+ε)
-        ∂ℓ/∂x_i = g_i/sqrt(σ²+ε) + ∂ℓ/∂σ² · 2(x_i-μ)/m + ∂ℓ/∂μ · 1/m
-    """
+    """Backward through the variance-scaled normalization: the shared backward
+    with v = x̂, to which the term-by-term L2 chain rule reduces."""
     if cache.mode is not BnMode.L2:
         raise ModeError(f"L2 backward got a {cache.mode.value} cache")
-    g = _upstream(d_y, cache, params)
-    axes = batch_axes(g.shape)
-    m = pooled_count(g.shape)
-    var_eps = cache.sigma_b * cache.sigma_b + cache.epsilon
-    denom = np.sqrt(var_eps)
-    # (x - μ) = x̂·denom, so g·(x-μ)·(σ²+ε)^(-3/2) = g·x̂/(σ²+ε).
-    d_var = -0.5 * reduce_sum(g * cache.x_hat, axes) / var_eps
-    d_mu = -reduce_sum(g, axes) / denom
-    d_input = g / denom + d_var * (2.0 / m) * (cache.x_hat * denom) + d_mu / m
-    d_gamma, d_beta = _affine_grads(np.asarray(d_y, dtype=np.float64), cache, params, axes)
-    return GradBundle(d_input=d_input, d_gamma=d_gamma, d_beta=d_beta)
-
-
-def _compensation(mode: BnMode) -> float:
-    return GAUSSIAN_STD_OVER_MAD if mode is BnMode.L1_COMPENSATED else 1.0
-
-
-def _require_l1(cache: BnCache) -> None:
-    if cache.mode not in _L1_MODES:
-        raise ModeError(f"L1 backward got a {cache.mode.value} cache")
+    return _backward(d_y, cache, params)
 
 
 def bn_backward_l1_naive(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle:
@@ -295,8 +300,10 @@ def bn_backward_l1_naive(d_y: np.ndarray, cache: BnCache, params: BnParams) -> G
     one that matches the finite-difference oracle (and the simplified form
     below) exactly.
     """
-    _require_l1(cache)
-    g = _upstream(d_y, cache, params)
+    if cache.mode is BnMode.L2:
+        raise ModeError("L1 backward got an l2 cache")
+    d_y = _check_upstream(d_y, cache)
+    g = d_y * params.gamma if params.use_affine else d_y
     axes = batch_axes(g.shape)
     m = pooled_count(g.shape)
     comp = _compensation(cache.mode)
@@ -307,8 +314,9 @@ def bn_backward_l1_naive(d_y: np.ndarray, cache: BnCache, params: BnParams) -> G
     mean_s = reduce_mean(s, axes)
     d_mu = -reduce_sum(g, axes) / denom - d_sigma * comp * mean_s
     d_input = d_sigma * (comp / m) * s + g / denom + d_mu / m
-    d_gamma, d_beta = _affine_grads(np.asarray(d_y, dtype=np.float64), cache, params, axes)
-    return GradBundle(d_input=d_input, d_gamma=d_gamma, d_beta=d_beta)
+    if not params.use_affine:
+        return GradBundle(d_input, np.zeros(params.num_features), np.zeros(params.num_features))
+    return GradBundle(d_input, reduce_sum(d_y * cache.x_hat, axes), reduce_sum(d_y, axes))
 
 
 def bn_backward_l1_simplified(d_y: np.ndarray, cache: BnCache,
@@ -322,18 +330,9 @@ def bn_backward_l1_simplified(d_y: np.ndarray, cache: BnCache,
     Algebraically identical to ``bn_backward_l1_naive``; this is the form
     that makes the signum/absolute op count explicit.
     """
-    _require_l1(cache)
-    g = _upstream(d_y, cache, params)
-    axes = batch_axes(g.shape)
-    comp = _compensation(cache.mode)
-    denom = cache.sigma_b + cache.epsilon
-    s = sign(cache.x_hat)
-    mean_g = reduce_mean(g, axes)
-    mean_gx = reduce_mean(g * cache.x_hat, axes)
-    mean_s = reduce_mean(s, axes)
-    d_input = (g - mean_g - comp * mean_gx * (s - mean_s)) / denom
-    d_gamma, d_beta = _affine_grads(np.asarray(d_y, dtype=np.float64), cache, params, axes)
-    return GradBundle(d_input=d_input, d_gamma=d_gamma, d_beta=d_beta)
+    if cache.mode is BnMode.L2:
+        raise ModeError("L1 backward got an l2 cache")
+    return _backward(d_y, cache, params)
 
 
 def update_running_stats(state: BnState, mu_b: np.ndarray,
@@ -375,7 +374,7 @@ def bn_forward_infer(x: np.ndarray, params: BnParams, state: BnState) -> np.ndar
     Identical per-sample results whether ``x`` is one sample or a batch.
     """
     x = np.asarray(x, dtype=np.float64)
-    batch_axes(x.shape)
-    _check_features(x, params)
+    _check_input(x, params)
     scale, shift = inference_scale_shift(params, state)
-    return scale * x + shift
+    y = np.multiply(x, scale)
+    return np.add(y, shift, out=y)

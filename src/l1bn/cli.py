@@ -30,6 +30,24 @@ DEFAULT_SEED = 1234  # bare invocations are reproducible
 _MODES = {"l2": BnMode.L2, "l1": BnMode.L1, "l1c": BnMode.L1_COMPENSATED}
 
 
+def _mode_list(choices: tuple[str, ...]):
+    """argparse type for a comma list of modes; keeps the text as given."""
+    def parse(text: str) -> str:
+        unknown = [m for m in text.split(",") if m not in choices]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown mode {','.join(unknown)!r} (choose from {','.join(choices)})")
+        return text
+    return parse
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"schema_version": SCHEMA_VERSION, **payload}
@@ -221,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gradcheck", help="certify analytic gradients against finite differences")
-    p.add_argument("--modes", default="l2,l1,l1c", help="comma list of l2,l1,l1c")
+    p.add_argument("--modes", type=_mode_list(tuple(_MODES)), default="l2,l1,l1c",
+                   help="comma list of l2,l1,l1c")
     p.add_argument("--layouts", default="2d", help="comma list of 2d,4d")
     p.add_argument("--m", type=int, default=7, help="batch size")
     p.add_argument("--d", type=int, default=3, help="features (2d layout)")
@@ -252,9 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train synthetic classifiers with either norm")
     p.add_argument("--preset", choices=tuple(_PRESETS), default="sanity")
-    p.add_argument("--modes", default="l2,l1",
+    p.add_argument("--modes", type=_mode_list((*_MODES, "none")), default="l2,l1",
                    help="comma list of l2,l1,l1c,none (sanity preset)")
-    p.add_argument("--runs", type=int, default=5, help="seeds per mode (parity preset)")
+    p.add_argument("--runs", type=_positive_int, default=5,
+                   help="seeds per mode (parity preset)")
     p.add_argument("--epochs", type=int, default=None, help="override preset epochs")
     p.add_argument("--parity-tolerance-pp", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

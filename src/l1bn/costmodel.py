@@ -5,10 +5,9 @@ normalization layer with pooled count B = m·h·w and c features:
 
     variance scaling (L2)
       forward:  one square per element for the squared deviations   -> B·c square
-                one root per feature for the 1/sqrt(σ²+ε) scale     -> c root
-      backward: one root-family evaluation per feature for the
-                (σ²+ε)^(-3/2) factor in the variance gradient       -> c root
-                (the 1/sqrt(σ²+ε) factors reuse the forward root)
+                two roots per feature: σ_B = sqrt(var) for the
+                running statistics and sqrt(var+ε) for the scale    -> 2·c root
+      backward: no root; it reuses the sqrt(var+ε) the forward cached
 
     deviation scaling (L1, plain or compensated)
       forward:  one absolute value per element for |x - μ|          -> B·c abs
@@ -118,7 +117,7 @@ def count_ops(shape: LayerShape, mode: BnMode, training: bool = True) -> dict[st
     per_feature = shape.pooled * shape.c
     if mode is BnMode.L2:
         counts["square"] = per_feature
-        counts["root"] = 2 * shape.c  # forward scale + backward (σ²+ε)^(-3/2)
+        counts["root"] = 2 * shape.c  # sqrt(var) and sqrt(var+ε), both in the forward
     else:
         counts["abs"] = per_feature
         counts["sign"] = per_feature

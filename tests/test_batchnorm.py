@@ -36,6 +36,37 @@ def two_point(v0=1.0, v1=3.0):
     return as_tensor([v0, v1], shape=(2, 1))
 
 
+def backward_for(mode):
+    return bn_backward_l2 if mode is BnMode.L2 else bn_backward_l1_simplified
+
+
+def l2_backward_reference(d_y, cache, params):
+    """Term-by-term L2 chain rule, the reference for the shared backward.
+
+    With g = ∂ℓ/∂x̂ and pooled sums:
+
+        ∂ℓ/∂σ²  = Σ g·(x-μ) · (-1/2)(σ²+ε)^(-3/2)
+        ∂ℓ/∂μ   = Σ g · (-1)/sqrt(σ²+ε)
+        ∂ℓ/∂x_i = g_i/sqrt(σ²+ε) + ∂ℓ/∂σ² · 2(x_i-μ)/m + ∂ℓ/∂μ · 1/m
+
+    Returns (d_input, d_gamma, d_beta); the last two as if γ were trainable.
+    """
+    g = d_y * params.gamma if params.use_affine else d_y
+    axes = batch_axes(g.shape)
+    m = pooled_count(g.shape)
+    var_eps = cache.sigma_b * cache.sigma_b + cache.epsilon
+    denom = np.sqrt(var_eps)
+    # (x - μ) = x̂·denom, so g·(x-μ)·(σ²+ε)^(-3/2) = g·x̂/(σ²+ε).
+    d_var = -0.5 * np.sum(g * cache.x_hat, axis=axes) / var_eps
+    d_mu = -np.sum(g, axis=axes) / denom
+    d_input = g / denom + d_var * (2.0 / m) * (cache.x_hat * denom) + d_mu / m
+    return d_input, np.sum(d_y * cache.x_hat, axis=axes), np.sum(d_y, axis=axes)
+
+
+def normwise_gap(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
 class TestBatchAxes:
     def test_2d(self):
         assert batch_axes((8, 5)) == (0,)
@@ -49,12 +80,44 @@ class TestBatchAxes:
         x = Rng(0).normal((6, 5))
         mu2, var2 = l2_batch_stats(x)
         mu4, var4 = l2_batch_stats(x.reshape(6, 1, 1, 5))
-        assert np.allclose(mu2, mu4) and np.allclose(var2, var4)
+        assert np.array_equal(mu2, mu4) and np.array_equal(var2, var4)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_4d_bit_identical_to_flattened_2d(self, mode):
+        # Both layouts run the same kernel on the same (N, c) view.
+        rng = Rng(6)
+        shape = (3, 4, 5, 6)
+        x = rng.normal(shape, mu=0.5, sigma=2.0)
+        d_y = rng.normal(shape)
+        params = BnParams(gamma=rng.uniform((6,), 0.5, 1.5),
+                          beta=rng.uniform((6,), -0.5, 0.5), mode=mode)
+        y4, cache4 = bn_forward_train(x, params)
+        y2, cache2 = bn_forward_train(x.reshape(-1, 6), params)
+        assert np.array_equal(y4.reshape(-1, 6), y2)
+        assert np.array_equal(cache4.mu_b, cache2.mu_b)
+        assert np.array_equal(cache4.sigma_b, cache2.sigma_b)
+        g4 = backward_for(mode)(d_y, cache4, params)
+        g2 = backward_for(mode)(d_y.reshape(-1, 6), cache2, params)
+        assert g4.d_input.shape == shape
+        assert np.array_equal(g4.d_input.reshape(-1, 6), g2.d_input)
+        assert np.array_equal(g4.d_gamma, g2.d_gamma)
+        assert np.array_equal(g4.d_beta, g2.d_beta)
 
     def test_unsupported_rank(self):
         for shape in ((5,), (2, 3, 4), (2, 3, 4, 5, 6)):
             with pytest.raises(LayoutError):
                 batch_axes(shape)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4), (2, 3, 4, 5, 6)])
+    def test_forward_rejects_rank_before_feature_check(self, shape):
+        # params carry 7 features, matching no input's last axis, and the
+        # state was never updated: only the layout check may fire.
+        x = np.ones(shape)
+        params = BnParams.init(7)
+        with pytest.raises(LayoutError):
+            bn_forward_train(x, params)
+        with pytest.raises(LayoutError):
+            bn_forward_infer(x, params, BnState.init(7))
 
 
 class TestBatchStats:
@@ -301,6 +364,34 @@ class TestBackwardL1:
         _, cache = bn_forward_train(x, params)
         g = bn_backward_l1_simplified(rng.normal((12, 3)), cache, params)
         assert np.all(g.d_gamma == 0) and np.all(g.d_beta == 0)
+
+
+class TestSharedBackward:
+    """The one backward of every mode against the term-by-term chain rules."""
+
+    @pytest.mark.parametrize("use_affine", [True, False])
+    @pytest.mark.parametrize("shape", [(16, 8), (4, 3, 3, 2)])
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_matches_reference(self, mode, shape, use_affine):
+        rng = Rng(21)
+        x = rng.normal(shape, mu=-1.0, sigma=3.0)
+        d_y = rng.normal(shape)
+        params = BnParams(gamma=rng.uniform((shape[-1],), 0.5, 1.5),
+                          beta=rng.uniform((shape[-1],), -0.5, 0.5),
+                          mode=mode, use_affine=use_affine)
+        _, cache = bn_forward_train(x, params)
+        got = backward_for(mode)(d_y, cache, params)
+        if mode is BnMode.L2:
+            d_input, d_gamma, d_beta = l2_backward_reference(d_y, cache, params)
+        else:
+            ref = bn_backward_l1_naive(d_y, cache, params)
+            d_input, d_gamma, d_beta = ref.d_input, ref.d_gamma, ref.d_beta
+        assert normwise_gap(got.d_input, d_input) <= 1e-12
+        if use_affine:
+            assert normwise_gap(got.d_gamma, d_gamma) <= 1e-12
+            assert normwise_gap(got.d_beta, d_beta) <= 1e-12
+        else:
+            assert np.all(got.d_gamma == 0) and np.all(got.d_beta == 0)
 
 
 class TestRunningStats:

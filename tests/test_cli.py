@@ -195,3 +195,16 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--modes", "l3"],
+        ["gradcheck", "--modes", "l1,,l2"],
+        ["train", "--modes", "l3"],
+        ["train", "--preset", "parity", "--runs", "0"],
+        ["train", "--preset", "parity", "--runs", "-1"],
+    ])
+    def test_bad_option_value_is_usage_error(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--outdir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
