@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of l2,l1,l1c,none (sanity preset)")
     p.add_argument("--runs", type=_positive_int, default=5,
                    help="seeds per mode (parity preset)")
-    p.add_argument("--epochs", type=int, default=None, help="override preset epochs")
+    p.add_argument("--epochs", type=_positive_int, default=None,
+                   help="override preset epochs")
     p.add_argument("--parity-tolerance-pp", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--outdir", default="runs/train")

@@ -15,8 +15,11 @@ normalization layer with pooled count B = m·h·w and c features:
                 across all gradient terms                           -> B·c sign
 
 Each appearance of a square/abs/sign/root counts once per element per step;
-values cached and reused are not recounted.  Inference folds everything into
-a multiply-add, so its per-step count of these four ops is zero.
+values cached and reused are not recounted.  Inference applies one multiply-add
+per element, so its per-element count of these four ops is zero.  Its fold is a
+per-feature term, like the training root, and is not counted:
+``inference_scale_shift`` rebuilds it on every ``bn_forward_infer`` call, which
+for L2 is c squares and c roots (sqrt(σ²+ε)) per call and for L1 none.
 
 Per-op weights default to measured FPGA costs (registers, DSP blocks, time,
 power).  The root is a per-feature term, B times rarer than the per-element

@@ -5,6 +5,12 @@ so ∂ℓ/∂y = p exactly and any disagreement is attributable to the backward
 pass under test.  Central differences with a small step on double precision
 give numeric gradients good to ~1e-9 relative, comfortably below the 1e-5
 acceptance threshold.
+
+The oracle is stacked: ``finite_diff`` hands its probe points to the loss in
+batches, and ``check_layer`` evaluates a batch of k points with one training
+forward, placing the k copies of the (…, c) layer side by side as one
+(…, k·c) layer.  Batch statistics are per feature, so no copy sees another
+copy's values and each is normalized exactly as it would be alone.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .batchnorm import (
 from .tensor import Rng
 
 REL_ERR_FLOOR = 1e-8  # denominator floor: avoids blowup where both gradients ~ 0
+_CHUNK_VALUES = 1 << 18  # probe values per call of the loss: 2 MB of float64
 
 
 class EvaluationError(ValueError):
@@ -50,21 +57,35 @@ class ProbeLoss:
 
 
 def finite_diff(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of scalar ``f`` at ``x``, one coordinate at a time."""
+    """Central-difference gradient of ``f`` at ``x``.
+
+    ``f`` maps a stack of points of shape (k, *x.shape) to their k losses.
+    The probes x ± step·e_i reach it in chunks of at most ``_CHUNK_VALUES``
+    values (one coordinate's pair when a single pair is larger), so the result
+    equals the coordinate-at-a-time loop whenever ``f`` treats the points of a
+    stack independently.
+    """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(x, dtype=np.float64)
-    grad = np.empty_like(x)
-    for idx in np.ndindex(x.shape):
-        hi = x.copy()
-        hi[idx] += step
-        lo = x.copy()
-        lo[idx] -= step
-        f_hi, f_lo = f(hi), f(lo)
-        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise EvaluationError(f"non-finite probe value near coordinate {idx}")
-        grad[idx] = (f_hi - f_lo) / (2.0 * step)
-    return grad
+    flat = x.reshape(-1)
+    grad = np.empty_like(flat)
+    per_chunk = max(1, _CHUNK_VALUES // (2 * max(flat.size, 1)))  # coordinates a call
+    for start in range(0, flat.size, per_chunk):
+        coords = np.arange(start, min(start + per_chunk, flat.size))
+        k = len(coords)
+        probes = np.tile(flat, (2 * k, 1))
+        probes[np.arange(k), coords] += step
+        probes[np.arange(k, 2 * k), coords] -= step
+        losses = np.asarray(f(probes.reshape((2 * k,) + x.shape)), dtype=np.float64)
+        f_hi, f_lo = losses[:k], losses[k:]
+        bad = ~(np.isfinite(f_hi) & np.isfinite(f_lo))
+        if bad.any():
+            idx = np.unravel_index(int(coords[np.argmax(bad)]), x.shape)
+            raise EvaluationError(
+                f"non-finite probe value near coordinate {tuple(int(i) for i in idx)}")
+        grad[coords] = (f_hi - f_lo) / (2.0 * step)
+    return grad.reshape(x.shape)
 
 
 def relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
@@ -159,19 +180,29 @@ def check_layer(mode: BnMode, shape, seed: int = 0, step: float = 1e-6,
         agreement = float(relative_errors(naive.d_input, simplified.d_input).max())
         bundles = [naive, simplified]
 
-    def loss_of_x(xv):
-        y, _ = bn_forward_train(xv, params)
-        return probe(y)
+    def side_by_side(xs, gammas, betas):
+        """Probe losses of k layers run as one: copy j sees xs[j], gammas[j], betas[j]."""
+        k = len(xs)
+        p = BnParams(gamma=gammas.reshape(-1), beta=betas.reshape(-1), epsilon=epsilon,
+                     mode=mode)
+        ys = bn_forward_train(np.moveaxis(xs, 0, -2).reshape(shape[:-1] + (k * c,)), p)[0]
+        ys = np.moveaxis(ys.reshape(shape[:-1] + (k, c)), -2, 0)
+        # C order: each copy's products form one contiguous row, which sums as probe(y) does
+        return np.multiply(probe.projection, ys, order="C").reshape(k, -1).sum(axis=1)
 
-    def loss_of_gamma(gv):
-        p = BnParams(gamma=gv, beta=beta, epsilon=epsilon, mode=mode)
-        y, _ = bn_forward_train(x, p)
-        return probe(y)
+    def copies(v, k):
+        # contiguous, not a stride-0 view: with c = 1 the wide input then keeps each
+        # copy's column contiguous, as a lone (…, 1) layer is, and sums in the same order
+        return np.repeat(v[np.newaxis], k, axis=0)
 
-    def loss_of_beta(bv):
-        p = BnParams(gamma=gamma, beta=bv, epsilon=epsilon, mode=mode)
-        y, _ = bn_forward_train(x, p)
-        return probe(y)
+    def loss_of_x(xs):
+        return side_by_side(xs, copies(gamma, len(xs)), copies(beta, len(xs)))
+
+    def loss_of_gamma(gs):
+        return side_by_side(copies(x, len(gs)), gs, copies(beta, len(gs)))
+
+    def loss_of_beta(bs):
+        return side_by_side(copies(x, len(bs)), copies(gamma, len(bs)), bs)
 
     num_input = finite_diff(loss_of_x, x, step)
     num_gamma = finite_diff(loss_of_gamma, gamma, step)

@@ -32,6 +32,11 @@ from l1bn.tensor import Rng, ShapeError, as_tensor
 ALL_MODES = (BnMode.L2, BnMode.L1, BnMode.L1_COMPENSATED)
 
 
+def each(g):
+    """Stacked loss for ``finite_diff`` from a scalar loss ``g``."""
+    return lambda vs: np.array([g(v) for v in vs])
+
+
 def two_point(v0=1.0, v1=3.0):
     return as_tensor([v0, v1], shape=(2, 1))
 
@@ -341,7 +346,7 @@ class TestBackwardL1:
             y, _ = bn_forward_train(v, params)
             return probe(y)
 
-        numeric = finite_diff(f, x, step=1e-6)
+        numeric = finite_diff(each(f), x, step=1e-6)
         assert relative_errors(analytic, numeric).max() <= 1e-5
 
     def test_d_gamma_same_form_as_l2(self):

@@ -202,6 +202,8 @@ class TestUsage:
         ["train", "--modes", "l3"],
         ["train", "--preset", "parity", "--runs", "0"],
         ["train", "--preset", "parity", "--runs", "-1"],
+        ["train", "--epochs", "0"],
+        ["train", "--epochs", "-1"],
     ])
     def test_bad_option_value_is_usage_error(self, argv, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from l1bn import gradcheck
 from l1bn.batchnorm import BnMode, BnParams, bn_forward_train
 from l1bn.gradcheck import (
     DegenerateInputError,
@@ -14,14 +15,37 @@ from l1bn.gradcheck import (
 from l1bn.tensor import Rng
 
 
+def each(g):
+    """Stacked loss for ``finite_diff`` from a scalar loss ``g``."""
+    return lambda vs: np.array([g(v) for v in vs])
+
+
+def finite_diff_loop(f, x, step=1e-6):
+    """The coordinate-at-a-time oracle ``finite_diff`` replaced, for scalar ``f``."""
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.empty_like(x)
+    for idx in np.ndindex(x.shape):
+        hi = x.copy()
+        hi[idx] += step
+        lo = x.copy()
+        lo[idx] -= step
+        f_hi, f_lo = f(hi), f(lo)
+        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
+            raise EvaluationError(f"non-finite probe value near coordinate {idx}")
+        grad[idx] = (f_hi - f_lo) / (2.0 * step)
+    return grad
+
+
 class TestFiniteDiff:
     def test_linear_function_exact(self):
         x = Rng(0).normal((3, 4))
-        grad = finite_diff(lambda v: float(np.sum(v)), x, step=1e-6)
+        grad = finite_diff(each(lambda v: float(np.sum(v))), x, step=1e-6)
         assert np.allclose(grad, 1.0, atol=1e-9)
 
     def test_quadratic_example(self):
-        grad = finite_diff(lambda v: float(np.sum(v ** 2)), np.array([1.0, 2.0]),
+        grad = finite_diff(each(lambda v: float(np.sum(v ** 2))), np.array([1.0, 2.0]),
                            step=1e-6)
         assert np.allclose(grad, [2.0, 4.0], atol=1e-8)
 
@@ -31,18 +55,18 @@ class TestFiniteDiff:
         # linear is exact, quadratic has zero h^2 truncation term, so both
         # sit within 10*h^2 at steps where rounding is negligible
         x = Rng(1).normal((10,))
-        lin = finite_diff(lambda v: float(np.sum(3.0 * v)), x, step=step)
+        lin = finite_diff(each(lambda v: float(np.sum(3.0 * v))), x, step=step)
         assert np.abs(lin - 3.0).max() <= 10 * step ** 2
-        quad = finite_diff(lambda v: float(np.sum(v ** 2)), x, step=step)
+        quad = finite_diff(each(lambda v: float(np.sum(v ** 2))), x, step=step)
         assert np.abs(quad - 2.0 * x).max() <= 10 * step ** 2
 
     def test_bad_step(self):
         with pytest.raises(ValueError):
-            finite_diff(lambda v: 0.0, np.zeros(2), step=0.0)
+            finite_diff(each(lambda v: 0.0), np.zeros(2), step=0.0)
 
     def test_non_finite_probe_rejected(self):
         with pytest.raises(EvaluationError):
-            finite_diff(lambda v: float("nan"), np.zeros(2))
+            finite_diff(each(lambda v: float("nan")), np.zeros(2))
 
 
 class TestProbeLoss:
@@ -50,7 +74,7 @@ class TestProbeLoss:
         rng = Rng(2)
         proj = rng.normal((5, 3))
         probe = ProbeLoss(projection=proj)
-        numeric = finite_diff(probe, rng.normal((5, 3)), step=1e-5)
+        numeric = finite_diff(each(probe), rng.normal((5, 3)), step=1e-5)
         assert np.allclose(numeric, probe.grad(), atol=1e-9)
 
 
@@ -139,5 +163,91 @@ class TestOracleAgainstForward:
 
         _, cache = bn_forward_train(x, params)
         analytic = bn_backward_l2(probe.grad(), cache, params).d_input
-        numeric = finite_diff(f, x, step=1e-6)
+        numeric = finite_diff(each(f), x, step=1e-6)
         assert relative_errors(analytic, numeric).max() <= 1e-5
+
+
+def record_slots(monkeypatch):
+    """Patch ``gradcheck.finite_diff`` to keep each slot's numeric gradient and the
+    stack size of every call it makes to the loss."""
+    grads, stacks = [], []
+    real = gradcheck.finite_diff
+
+    def recording(f, x, step=1e-6):
+        sizes = []
+        stacks.append(sizes)
+
+        def counted(xs):
+            sizes.append(len(xs))
+            return f(xs)
+
+        grads.append(real(counted, x, step))
+        return grads[-1]
+
+    monkeypatch.setattr(gradcheck, "finite_diff", recording)
+    return grads, stacks
+
+
+def loop_slots(mode, shape, seed, step=1e-6, epsilon=1e-5):
+    """Input, γ and β gradients as ``check_layer`` drew and probed them one forward
+    per probe, before its probes were stacked."""
+    rng = Rng(seed)
+    x = draw_inputs(mode, shape, rng)
+    c = shape[-1]
+    gamma = rng.uniform((c,), 0.5, 1.5)
+    beta = rng.uniform((c,), -0.5, 0.5)
+    probe = ProbeLoss(projection=rng.normal(shape))
+
+    def loss(xv, gv, bv):
+        y, _ = bn_forward_train(xv, BnParams(gamma=gv, beta=bv, epsilon=epsilon, mode=mode))
+        return probe(y)
+
+    return [finite_diff_loop(lambda v: loss(v, gamma, beta), x, step),
+            finite_diff_loop(lambda v: loss(x, v, beta), gamma, step),
+            finite_diff_loop(lambda v: loss(x, gamma, v), beta, step)]
+
+
+class TestStackedOracle:
+    @pytest.mark.parametrize("mode", list(BnMode))
+    @pytest.mark.parametrize("shape", [(7, 3), (4, 3, 3, 2), (9, 1)])
+    def test_bit_identical_to_coordinate_loop(self, monkeypatch, mode, shape):
+        grads, stacks = record_slots(monkeypatch)
+        check_layer(mode, shape, seed=3)
+        assert [len(s) for s in stacks] == [1, 1, 1]  # one forward per slot
+        for stacked, looped in zip(grads, loop_slots(mode, shape, seed=3), strict=True):
+            assert np.array_equal(stacked, looped)
+
+    @pytest.mark.parametrize("mode", list(BnMode))
+    @pytest.mark.parametrize("per_chunk", [1, 5])
+    def test_bit_identical_across_chunks(self, monkeypatch, mode, per_chunk):
+        shape = (4, 3, 3, 2)  # 72 input coordinates: 72 or 15 chunks, the last ragged
+        monkeypatch.setattr(gradcheck, "_CHUNK_VALUES", 2 * 72 * per_chunk)
+        grads, stacks = record_slots(monkeypatch)
+        check_layer(mode, shape, seed=3)
+        assert len(stacks[0]) >= 3
+        assert max(stacks[0]) == 2 * per_chunk and sum(stacks[0]) == 2 * 72
+        for stacked, looped in zip(grads, loop_slots(mode, shape, seed=3), strict=True):
+            assert np.array_equal(stacked, looped)
+
+    def test_chunks_bounded(self):
+        x = np.zeros((16, 4, 4, 8))
+        sizes = []
+
+        def f(xs):
+            sizes.append(len(xs))
+            return np.zeros(len(xs))
+
+        finite_diff(f, x)
+        assert sum(sizes) == 2 * x.size
+        assert max(sizes) * x.size <= gradcheck._CHUNK_VALUES
+
+    def test_error_names_coordinate_in_later_chunk(self, monkeypatch):
+        monkeypatch.setattr(gradcheck, "_CHUNK_VALUES", 2 * 12 * 4)  # 4 coordinates a chunk
+        x = np.zeros((3, 4))
+        flat_index = np.ravel_multi_index((1, 2), x.shape)  # 6: third of the second chunk
+
+        def f(xs):
+            return np.where(xs.reshape(len(xs), -1)[:, flat_index] != 0.0, np.nan, 0.0)
+
+        with pytest.raises(EvaluationError, match=r"coordinate \(1, 2\)$"):
+            finite_diff(f, x)

@@ -27,6 +27,11 @@ SANITY_TASK = SyntheticTask(classes=2, dim=5, train_per_class=400, test_per_clas
 SANITY_CFG = SgdConfig(learning_rate=0.1, epochs=15, batch_size=64)
 
 
+def each(g):
+    """Stacked loss for ``finite_diff`` from a scalar loss ``g``."""
+    return lambda vs: np.array([g(v) for v in vs])
+
+
 def sanity_spec(mode, seed=0):
     return MlpSpec(in_dim=5, hidden=(16,), classes=2, bn_mode=mode, seed=seed)
 
@@ -111,7 +116,7 @@ class TestForwardBackward:
             return f
 
         for p, g in zip(params, grads):
-            numeric = finite_diff(loss_at(None, p), p, step=1e-6)
+            numeric = finite_diff(each(loss_at(None, p)), p, step=1e-6)
             rel = relative_errors(g, numeric)
             # a dense bias feeding straight into BN is a dead parameter (the
             # batch mean absorbs it): both gradients are ~0, compare absolutely
