@@ -17,13 +17,10 @@ import csv
 import json
 from pathlib import Path
 
-import numpy as np
-
 from l1bn.batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode
 from l1bn.ratio import channelwise_ratio_map, gaussian_ratio_trial, uniform_ratio_trial
 from l1bn.tensor import Rng
-from l1bn.trainer import (Mlp, MlpSpec, SgdConfig, SyntheticTask,
-                          forward_backward_step, sgd_update)
+from l1bn.trainer import Mlp, MlpSpec, SgdConfig, SyntheticTask, train
 
 
 def write_rows(path: Path, rows) -> None:
@@ -37,21 +34,9 @@ def trained_mlp():
     task = SyntheticTask(classes=4, dim=12, train_per_class=400, test_per_class=100,
                          spread=1.0, seed=0)
     spec = MlpSpec(in_dim=12, hidden=(48, 48, 48), classes=4, bn_mode=BnMode.L1, seed=0)
-    cfg = SgdConfig(learning_rate=0.1, epochs=8, batch_size=64)
     model = Mlp(spec)
-    params = model.parameters()
-    velocities = [np.zeros_like(p) for p in params]
-    x_train, y_train, _, _ = task.make()
-    order_rng = Rng(1)
-    for _ in range(cfg.epochs):
-        order = order_rng.permutation(len(x_train))
-        for lo in range(0, len(x_train), cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            if idx.size < 2:
-                continue
-            _, grads = forward_backward_step(model, x_train[idx], y_train[idx])
-            sgd_update(params, grads, cfg, velocities)
-    return model, x_train
+    train(model, task, SgdConfig(learning_rate=0.1, epochs=8, batch_size=64))
+    return model, task.make()[0]
 
 
 def main() -> int:

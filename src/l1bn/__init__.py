@@ -16,7 +16,6 @@ from .batchnorm import (
     bn_backward_l2,
     bn_forward_infer,
     bn_forward_train,
-    default_l1_mode,
     l1_batch_stats,
     l2_batch_stats,
     update_running_stats,
@@ -40,4 +39,5 @@ from .trainer import (
     parity_gap,
     run_experiment,
     sgd_update,
+    train,
 )

@@ -69,12 +69,6 @@ class BnMode(Enum):
     L1_COMPENSATED = "l1c"
 
 
-def default_l1_mode(use_affine: bool) -> BnMode:
-    """Pick the L1 flavor: let γ learn the sqrt(π/2) gap when it exists,
-    otherwise compensate explicitly."""
-    return BnMode.L1 if use_affine else BnMode.L1_COMPENSATED
-
-
 def batch_axes(shape) -> tuple[int, ...]:
     """Axes pooled into the statistics for a supported layout."""
     rank = len(shape)

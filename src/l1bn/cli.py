@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from .costmodel import ArchParseError, OpCosts, model_report, parse_architecture
 from .gradcheck import check_layer
 from .ratio import channelwise_ratio_map, gaussian_ratio_trial, uniform_ratio_trial
 from .tensor import Rng
-from .trainer import MlpSpec, SgdConfig, SyntheticTask, run_experiment
+from .trainer import MlpSpec, SgdConfig, SyntheticTask, parity_gap, run_experiment
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1234  # bare invocations are reproducible
@@ -30,13 +31,13 @@ DEFAULT_SEED = 1234  # bare invocations are reproducible
 _MODES = {"l2": BnMode.L2, "l1": BnMode.L1, "l1c": BnMode.L1_COMPENSATED}
 
 
-def _mode_list(choices: tuple[str, ...]):
-    """argparse type for a comma list of modes; keeps the text as given."""
+def _comma_list(choices: tuple[str, ...]):
+    """argparse type for a comma list drawn from ``choices``; keeps the text as given."""
     def parse(text: str) -> str:
         unknown = [m for m in text.split(",") if m not in choices]
         if unknown:
             raise argparse.ArgumentTypeError(
-                f"unknown mode {','.join(unknown)!r} (choose from {','.join(choices)})")
+                f"unknown value {','.join(unknown)!r} (choose from {','.join(choices)})")
         return text
     return parse
 
@@ -82,14 +83,10 @@ def cmd_gradcheck(args) -> int:
     modes = [_MODES[m] for m in args.modes.split(",")]
     layouts = args.layouts.split(",")
     reports = []
+    shapes = {"2d": (args.m, args.d), "4d": (args.m, args.height, args.width, args.channels)}
     for mode in modes:
         for layout in layouts:
-            if layout == "2d":
-                shape = (args.m, args.d)
-            elif layout == "4d":
-                shape = (args.m, args.height, args.width, args.channels)
-            else:
-                raise ValueError(f"unknown layout {layout!r} (expected 2d or 4d)")
+            shape = shapes[layout]
             reports.append(check_layer(mode, shape, seed=args.seed, step=args.step))
     worst = max(r.max_rel_err for r in reports)
     passed = worst <= args.threshold
@@ -154,27 +151,14 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         config = dataclasses.replace(config, epochs=args.epochs)
     _write_manifest(outdir, "train", args.seed, _clean_options(args))
+    curve_header = ["epoch", "train_loss", "train_acc", "test_acc"]
     if args.preset == "parity":
-        seeds = tuple(args.seed + k for k in range(args.runs))
-        accs = {"l2": [], "l1": []}
-        for mode in ("l2", "l1"):
-            for seed in seeds:
-                spec = MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes,
-                               bn_mode=_MODES[mode], seed=seed)
-                rec = run_experiment(dataclasses.replace(task, seed=seed), spec, config)
-                accs[mode].append(rec.final_test_acc)
-                _write_csv(outdir / f"{mode}_seed{seed}.csv",
-                           ["epoch", "train_loss", "train_acc", "test_acc"], rec.rows())
-        mean_l2 = sum(accs["l2"]) / len(accs["l2"])
-        mean_l1 = sum(accs["l1"]) / len(accs["l1"])
-        summary = {
-            "seeds": list(seeds),
-            "acc_l2": accs["l2"],
-            "acc_l1": accs["l1"],
-            "mean_acc_l2": mean_l2,
-            "mean_acc_l1": mean_l1,
-            "gap_pp": abs(mean_l2 - mean_l1) * 100.0,
-        }
+        template = MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes)
+        summary = parity_gap(task, template, config,
+                             seeds=tuple(args.seed + k for k in range(args.runs)))
+        for mode, records in summary.pop("records").items():
+            for rec in records:
+                _write_csv(outdir / f"{mode}_seed{rec.seed}.csv", curve_header, rec.rows())
         _write_json(outdir / "summary.json", summary)
         print(f"parity: mean acc L2={summary['mean_acc_l2']:.4f} "
               f"L1={summary['mean_acc_l1']:.4f} gap={summary['gap_pp']:.2f}pp")
@@ -187,8 +171,7 @@ def cmd_train(args) -> int:
                        bn_mode=mode, seed=args.seed)
         rec = run_experiment(dataclasses.replace(task, seed=args.seed), spec, config)
         records[name] = rec
-        _write_csv(outdir / f"{name}_seed{args.seed}.csv",
-                   ["epoch", "train_loss", "train_acc", "test_acc"], rec.rows())
+        _write_csv(outdir / f"{name}_seed{args.seed}.csv", curve_header, rec.rows())
         print(f"train {name:>4}: final test acc {rec.final_test_acc:.4f} "
               f"({'diverged' if rec.diverged else 'ok'})")
     _write_json(outdir / "summary.json", {
@@ -231,6 +214,7 @@ def cmd_cost(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l1bn",
@@ -239,14 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gradcheck", help="certify analytic gradients against finite differences")
-    p.add_argument("--modes", type=_mode_list(tuple(_MODES)), default="l2,l1,l1c",
+    p.add_argument("--modes", type=_comma_list(tuple(_MODES)), default="l2,l1,l1c",
                    help="comma list of l2,l1,l1c")
-    p.add_argument("--layouts", default="2d", help="comma list of 2d,4d")
-    p.add_argument("--m", type=int, default=7, help="batch size")
-    p.add_argument("--d", type=int, default=3, help="features (2d layout)")
-    p.add_argument("--height", type=int, default=3, help="spatial height (4d layout)")
-    p.add_argument("--width", type=int, default=3, help="spatial width (4d layout)")
-    p.add_argument("--channels", type=int, default=2, help="channels (4d layout)")
+    p.add_argument("--layouts", type=_comma_list(("2d", "4d")), default="2d",
+                   help="comma list of 2d,4d")
+    p.add_argument("--m", type=_positive_int, default=7, help="batch size")
+    p.add_argument("--d", type=_positive_int, default=3, help="features (2d layout)")
+    p.add_argument("--height", type=_positive_int, default=3, help="spatial height (4d layout)")
+    p.add_argument("--width", type=_positive_int, default=3, help="spatial width (4d layout)")
+    p.add_argument("--channels", type=_positive_int, default=2, help="channels (4d layout)")
     p.add_argument("--step", type=float, default=1e-6, help="finite-difference step")
     p.add_argument("--threshold", type=float, default=1e-5, help="max allowed relative error")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -254,24 +239,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ratio", help="Monte Carlo std/mean-absolute-deviation ratio")
-    p.add_argument("--n", type=int, default=100000, help="sample count per trial")
+    p.add_argument("--n", type=_positive_int, default=100000, help="sample count per trial")
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--dist", choices=("gaussian", "uniform"), default="gaussian")
     p.add_argument("--band", type=float, default=0.01, help="half-width of the Gaussian band")
     p.add_argument("--channel-map", action="store_true",
                    help="per-channel map over a synthetic 4-D tensor instead of one stream")
-    p.add_argument("--m", type=int, default=64)
-    p.add_argument("--height", type=int, default=8)
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--channels", type=int, default=16)
+    p.add_argument("--m", type=_positive_int, default=64)
+    p.add_argument("--height", type=_positive_int, default=8)
+    p.add_argument("--width", type=_positive_int, default=8)
+    p.add_argument("--channels", type=_positive_int, default=16)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--outdir", default="runs/ratio")
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("train", help="train synthetic classifiers with either norm")
     p.add_argument("--preset", choices=tuple(_PRESETS), default="sanity")
-    p.add_argument("--modes", type=_mode_list((*_MODES, "none")), default="l2,l1",
+    p.add_argument("--modes", type=_comma_list((*_MODES, "none")), default="l2,l1",
                    help="comma list of l2,l1,l1c,none (sanity preset)")
     p.add_argument("--runs", type=_positive_int, default=5,
                    help="seeds per mode (parity preset)")

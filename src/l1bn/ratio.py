@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batchnorm import GAUSSIAN_STD_OVER_MAD, batch_axes, l1_batch_stats, l2_batch_stats, pooled_count
+from .batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode, batch_axes, batch_deviation, pooled_count
 from .tensor import DomainError, Rng
 
 HISTOGRAM_BINS = 50
@@ -76,15 +76,9 @@ class RatioReport:
         }
 
 
-def deviation_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature (std, mean-absolute-deviation) about the pooled mean."""
-    sigma_l2 = np.sqrt(l2_batch_stats(x)[1])
-    sigma_l1 = l1_batch_stats(x, compensate=False)[1]
-    return sigma_l2, sigma_l1
-
-
 def _report(x: np.ndarray, band_half_width: float) -> RatioReport:
-    sigma_l2, sigma_l1 = deviation_pair(x)
+    sigma_l2 = batch_deviation(x, BnMode.L2)
+    sigma_l1 = batch_deviation(x, BnMode.L1)
     ratios = sigma_l2 / sigma_l1
     mean_ratio = float(np.mean(ratios))
     gap = mean_ratio - GAUSSIAN_STD_OVER_MAD
@@ -131,6 +125,8 @@ def channelwise_ratio_map(x: np.ndarray,
     """Per-feature/channel ratio map of an activation tensor (2-D or 4-D)."""
     x = np.asarray(x, dtype=np.float64)
     batch_axes(x.shape)
+    if x.shape[-1] == 0:
+        raise StatisticsError(f"tensor of shape {x.shape} has no features")
     if pooled_count(x.shape) < 100:
         raise StatisticsError(
             f"pooled count {pooled_count(x.shape)} < 100; ratios would be noise"

@@ -1,10 +1,8 @@
-"""Dense float64 tensor helpers: seeded RNG, axis reductions, elementwise kernels.
+"""Float64 tensor helpers: seeded RNG, checked axis reductions and signum.
 
-Everything operates on C-contiguous numpy arrays in double precision and is
-pure: inputs are never mutated, outputs are freshly allocated.  Reductions use
-numpy's sequential pairwise summation, so results are bit-deterministic for a
-given input regardless of how the caller threads around them.  Broadcasting is
-deliberately restricted to re-expanding reduced axes (see ``unreduce``).
+The reductions serve the term-by-term L1 backward kept as the gradient oracle,
+and ``sign`` both L1 backward forms.  They are pure, and numpy's pairwise
+summation makes their results bit-deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -20,16 +18,6 @@ class ShapeError(ValueError):
 
 class DomainError(ValueError):
     """Operand values lie outside an operation's domain."""
-
-
-def as_tensor(values, shape=None) -> np.ndarray:
-    """Coerce ``values`` to a fresh C-contiguous float64 array, optionally reshaped."""
-    arr = np.array(values, dtype=np.float64, order="C")
-    if shape is not None:
-        if arr.size != int(np.prod(shape)):
-            raise ShapeError(f"cannot view {arr.size} values as shape {tuple(shape)}")
-        arr = arr.reshape(tuple(shape))
-    return arr
 
 
 @dataclass
@@ -82,65 +70,6 @@ def reduce_sum(t: np.ndarray, axes) -> np.ndarray:
     return np.sum(t, axis=axes)
 
 
-def unreduce(values: np.ndarray, shape, axes) -> np.ndarray:
-    """Re-expand a reduced tensor back to ``shape`` by repeating along ``axes``.
-
-    Inverse of the shape change done by ``reduce_mean``/``reduce_sum``; this is
-    the only broadcasting the library performs explicitly.
-    """
-    shape = tuple(shape)
-    axes = check_axes(len(shape), axes)
-    expected = tuple(s for i, s in enumerate(shape) if i not in axes)
-    if np.shape(values) != expected:
-        raise ShapeError(f"values shape {np.shape(values)} does not match {expected}")
-    return np.ascontiguousarray(np.broadcast_to(np.expand_dims(values, axes), shape))
-
-
-def _binary(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"operand shapes differ: {a.shape} vs {b.shape}")
-    return op(a, b)
-
-
-def add(a, b) -> np.ndarray:
-    return _binary(a, b, np.add)
-
-
-def sub(a, b) -> np.ndarray:
-    return _binary(a, b, np.subtract)
-
-
-def mul(a, b) -> np.ndarray:
-    return _binary(a, b, np.multiply)
-
-
-def div(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"operand shapes differ: {a.shape} vs {b.shape}")
-    if np.any(b == 0.0):
-        raise DomainError("division by zero")
-    return np.divide(a, b)
-
-
-def absolute(x) -> np.ndarray:
-    return np.abs(np.asarray(x, dtype=np.float64))
-
-
 def sign(x) -> np.ndarray:
     """Signum with sign(0) = 0, the symmetric subgradient choice for |x| at 0."""
     return np.sign(np.asarray(x, dtype=np.float64))
-
-
-def square(x) -> np.ndarray:
-    return np.square(np.asarray(x, dtype=np.float64))
-
-
-def sqrt(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0.0):
-        raise DomainError("sqrt of negative value")
-    return np.sqrt(x)

@@ -109,7 +109,7 @@ class DenseLayer:
         self.db = np.zeros_like(self.b)
         self._x = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         self._x = x
         return x @ self.w + self.b
 
@@ -129,7 +129,7 @@ class ReluLayer:
     def __init__(self):
         self._mask = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
 
@@ -203,10 +203,7 @@ class Mlp:
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         out = x
         for layer in self.layers:
-            if isinstance(layer, BnLayer):
-                out = layer.forward(out, training)
-            else:
-                out = layer.forward(out)
+            out = layer.forward(out, training)
         return out
 
     def backward(self, d_logits: np.ndarray) -> None:
@@ -225,13 +222,9 @@ class Mlp:
         acts = []
         out = x
         for layer in self.layers[:-1]:
+            out = layer.forward(out, training=False)
             if isinstance(layer, DenseLayer):
-                out = layer.forward(out)
                 acts.append(out)
-            elif isinstance(layer, BnLayer):
-                out = layer.forward(out, training=False)
-            else:
-                out = layer.forward(out)
         return acts
 
 
@@ -302,11 +295,11 @@ def accuracy(model: Mlp, x: np.ndarray, y: np.ndarray, training: bool = False) -
     return float(np.mean(np.argmax(logits, axis=1) == y))
 
 
-def run_experiment(task: SyntheticTask, spec: MlpSpec,
-                   config: SgdConfig) -> TrainingRecord:
-    """Train one model; deterministic given (task, spec, config) seeds."""
+def train(model: Mlp, task: SyntheticTask, config: SgdConfig) -> TrainingRecord:
+    """Train ``model`` in place on ``task``; the shuffle stream is seeded from
+    the model's spec, so the run is deterministic given both seeds."""
     x_train, y_train, x_test, y_test = task.make()
-    model = Mlp(spec)
+    spec = model.spec
     mode = spec.bn_mode.value if spec.bn_mode is not None else "none"
     record = TrainingRecord(mode=mode, seed=spec.seed)
     params = model.parameters()
@@ -318,8 +311,21 @@ def run_experiment(task: SyntheticTask, spec: MlpSpec,
         # divergence is detected via explicit finiteness checks; silence the
         # overflow warnings numpy emits on the step that blows up
         with np.errstate(over="ignore", invalid="ignore"):
-            _train_epochs(model, config, record, params, velocities, shuffle_rng,
-                          x_train, y_train, x_test, y_test)
+            for epoch in range(config.epochs):
+                lr = config.lr_at(epoch)
+                order = shuffle_rng.permutation(n)
+                losses = []
+                for lo in range(0, n, config.batch_size):
+                    idx = order[lo:lo + config.batch_size]
+                    if idx.size < 2:  # batch statistics need at least two samples
+                        continue
+                    loss, grads = forward_backward_step(model, x_train[idx], y_train[idx])
+                    sgd_update(params, grads, config, velocities, lr=lr)
+                    losses.append(loss * idx.size)
+                # epoch metrics from full passes (cheap at this scale)
+                record.train_loss.append(float(np.sum(losses) / n))
+                record.train_acc.append(accuracy(model, x_train, y_train))
+                record.test_acc.append(accuracy(model, x_test, y_test))
     except DivergenceError:
         record.diverged = True
     record.wall_time_s = time.perf_counter() - started
@@ -327,25 +333,10 @@ def run_experiment(task: SyntheticTask, spec: MlpSpec,
     return record
 
 
-def _train_epochs(model, config, record, params, velocities, shuffle_rng,
-                  x_train, y_train, x_test, y_test) -> None:
-    n = x_train.shape[0]
-    for epoch in range(config.epochs):
-        lr = config.lr_at(epoch)
-        order = shuffle_rng.permutation(n)
-        losses = []
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
-            if idx.size < 2:  # batch statistics need at least two samples
-                continue
-            xb, yb = x_train[idx], y_train[idx]
-            loss, grads = forward_backward_step(model, xb, yb)
-            sgd_update(params, grads, config, velocities, lr=lr)
-            losses.append(loss * idx.size)
-        # epoch metrics from full passes (cheap at this scale)
-        record.train_loss.append(float(np.sum(losses) / n))
-        record.train_acc.append(accuracy(model, x_train, y_train, training=False))
-        record.test_acc.append(accuracy(model, x_test, y_test, training=False))
+def run_experiment(task: SyntheticTask, spec: MlpSpec,
+                   config: SgdConfig) -> TrainingRecord:
+    """Train a fresh model; deterministic given (task, spec, config) seeds."""
+    return train(Mlp(spec), task, config)
 
 
 def parity_gap(task: SyntheticTask, spec_template: MlpSpec, config: SgdConfig,
@@ -353,24 +344,27 @@ def parity_gap(task: SyntheticTask, spec_template: MlpSpec, config: SgdConfig,
     """Mean final test accuracy of L1 vs L2 over matched seeds.
 
     Everything except the norm is held fixed, so the gap isolates the effect
-    of the deviation metric.
+    of the deviation metric.  Each run's record is returned by mode under
+    ``records``, in seed order.
     """
-    results = {}
+    records = {}
     for mode in (BnMode.L2, BnMode.L1):
-        accs = []
-        for seed in seeds:
-            spec = dataclasses.replace(spec_template, bn_mode=mode, seed=seed)
-            task_seeded = dataclasses.replace(task, seed=seed)
-            rec = run_experiment(task_seeded, spec, config)
-            accs.append(rec.final_test_acc)
-        results[mode.value] = accs
-    mean_l2 = float(np.mean(results["l2"]))
-    mean_l1 = float(np.mean(results["l1"]))
+        records[mode.value] = [
+            run_experiment(dataclasses.replace(task, seed=seed),
+                           dataclasses.replace(spec_template, bn_mode=mode, seed=seed),
+                           config)
+            for seed in seeds
+        ]
+    accs = {mode: [rec.final_test_acc for rec in recs] for mode, recs in records.items()}
+    # sequential sum, not np.mean: the two round differently from eight seeds on
+    mean_l2 = sum(accs["l2"]) / len(accs["l2"])
+    mean_l1 = sum(accs["l1"]) / len(accs["l1"])
     return {
         "seeds": list(seeds),
-        "acc_l2": results["l2"],
-        "acc_l1": results["l1"],
+        "acc_l2": accs["l2"],
+        "acc_l1": accs["l1"],
         "mean_acc_l2": mean_l2,
         "mean_acc_l1": mean_l1,
         "gap_pp": abs(mean_l2 - mean_l1) * 100.0,
+        "records": records,
     }

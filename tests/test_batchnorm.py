@@ -21,13 +21,12 @@ from l1bn.batchnorm import (
     bn_backward_l2,
     bn_forward_infer,
     bn_forward_train,
-    default_l1_mode,
     l1_batch_stats,
     l2_batch_stats,
     pooled_count,
     update_running_stats,
 )
-from l1bn.tensor import Rng, ShapeError, as_tensor
+from l1bn.tensor import Rng, ShapeError
 
 ALL_MODES = (BnMode.L2, BnMode.L1, BnMode.L1_COMPENSATED)
 
@@ -38,7 +37,7 @@ def each(g):
 
 
 def two_point(v0=1.0, v1=3.0):
-    return as_tensor([v0, v1], shape=(2, 1))
+    return np.reshape([v0, v1], (2, 1))
 
 
 def backward_for(mode):
@@ -138,7 +137,7 @@ class TestBatchStats:
         values = [1.0, 2.0, 3.0, 6.0]
         m = sum(values) / 4.0
         expected_var = sum((v - m) ** 2 for v in values) / 4.0  # biased: 3.5
-        mu, var = l2_batch_stats(as_tensor(values, shape=(4, 1)))
+        mu, var = l2_batch_stats(np.reshape(values, (4, 1)))
         assert mu[0] == m == 3.0
         assert var[0] == expected_var == 3.5
 
@@ -150,7 +149,7 @@ class TestBatchStats:
         values = [1.0, 2.0, 3.0, 6.0]
         m = sum(values) / 4.0
         expected = sum(abs(v - m) for v in values) / 4.0  # = 1.5
-        _, sigma = l1_batch_stats(as_tensor(values, shape=(4, 1)))
+        _, sigma = l1_batch_stats(np.reshape(values, (4, 1)))
         assert sigma[0] == expected == 1.5
 
     def test_l1_compensated_two_point(self):
@@ -178,7 +177,7 @@ class TestForwardTrain:
         assert np.allclose(y.ravel(), [-1.0, 1.0], atol=1e-6)
 
     def test_affine_applied(self):
-        params = BnParams(gamma=as_tensor([2.0]), beta=as_tensor([5.0]),
+        params = BnParams(gamma=np.array([2.0]), beta=np.array([5.0]),
                           epsilon=1e-12, mode=BnMode.L2)
         y, _ = bn_forward_train(two_point(), params)
         assert np.allclose(y.ravel(), [3.0, 7.0], atol=1e-5)
@@ -336,9 +335,9 @@ class TestBackwardL1:
         # smallest interesting batch, clear of the |x - mu| kink
         from l1bn.gradcheck import ProbeLoss, finite_diff, relative_errors
 
-        x = as_tensor([1.0, 3.0], shape=(2, 1))
+        x = np.reshape([1.0, 3.0], (2, 1))
         params = BnParams.init(1, mode=BnMode.L1)
-        probe = ProbeLoss(projection=as_tensor([0.7, -1.3], shape=(2, 1)))
+        probe = ProbeLoss(projection=np.reshape([0.7, -1.3], (2, 1)))
         _, cache = bn_forward_train(x, params)
         analytic = bn_backward_l1_naive(probe.grad(), cache, params).d_input
 
@@ -402,13 +401,13 @@ class TestSharedBackward:
 class TestRunningStats:
     def test_single_update(self):
         state = BnState.init(1, momentum=0.9)
-        new = update_running_stats(state, as_tensor([1.0]), as_tensor([1.0]))
+        new = update_running_stats(state, np.array([1.0]), np.array([1.0]))
         assert new.running_mu[0] == pytest.approx(0.1, abs=1e-15)
         assert new.updates == 1
 
     def test_frozen_at_momentum_one(self):
         state = BnState.init(2, momentum=1.0)
-        new = update_running_stats(state, as_tensor([5.0, 5.0]), as_tensor([2.0, 2.0]))
+        new = update_running_stats(state, np.array([5.0, 5.0]), np.array([2.0, 2.0]))
         assert np.array_equal(new.running_mu, state.running_mu)
         assert np.array_equal(new.running_sigma, state.running_sigma)
 
@@ -416,7 +415,7 @@ class TestRunningStats:
         # gap after k constant updates scales exactly like momentum^k
         alpha = 0.9
         state = BnState.init(1, momentum=alpha)
-        mu_b, sigma_b = as_tensor([1.0]), as_tensor([2.0])
+        mu_b, sigma_b = np.array([1.0]), np.array([2.0])
         gap0 = abs(state.running_mu[0] - 1.0)
         for k in range(1, 21):
             state = update_running_stats(state, mu_b, sigma_b)
@@ -425,7 +424,7 @@ class TestRunningStats:
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            update_running_stats(BnState.init(2), as_tensor([1.0]), as_tensor([1.0]))
+            update_running_stats(BnState.init(2), np.array([1.0]), np.array([1.0]))
 
     def test_momentum_validation(self):
         with pytest.raises(ValueError):
@@ -505,7 +504,3 @@ class TestParams:
     def test_gamma_beta_length(self):
         with pytest.raises(ShapeError):
             BnParams(gamma=np.ones(3), beta=np.zeros(2))
-
-    def test_default_l1_mode_strategy(self):
-        assert default_l1_mode(use_affine=True) is BnMode.L1
-        assert default_l1_mode(use_affine=False) is BnMode.L1_COMPENSATED

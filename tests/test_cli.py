@@ -1,9 +1,11 @@
+import csv
 import json
 import math
 
 import pytest
 
-from l1bn.cli import main
+from l1bn import cli
+from l1bn.cli import build_parser, main
 
 
 def read_json(path):
@@ -128,6 +130,30 @@ class TestTrainCommand:
         assert (outdir / "l1_seed1234.csv").exists()
         assert (outdir / "l2_seed1235.csv").exists()
 
+    def test_parity_csvs_come_from_parity_gap_records(self, tmp_path, monkeypatch):
+        captured, parity_gap = {}, cli.parity_gap
+
+        def recording_parity_gap(*args, **kwargs):
+            summary = parity_gap(*args, **kwargs)
+            captured.update(summary["records"])
+            return summary
+
+        monkeypatch.setattr(cli, "parity_gap", recording_parity_gap)
+        outdir = tmp_path / "train"
+        main(["train", "--preset", "parity", "--runs", "2", "--epochs", "1",
+              "--outdir", str(outdir)])
+        assert set(captured) == {"l2", "l1"}
+        for mode, records in captured.items():
+            assert [r.seed for r in records] == [1234, 1235]
+            for rec in records:
+                with open(outdir / f"{mode}_seed{rec.seed}.csv", newline="") as fh:
+                    rows = list(csv.reader(fh))
+                assert rows[0] == ["epoch", "train_loss", "train_acc", "test_acc"]
+                assert rows[1:] == [[str(v) for v in row] for row in rec.rows()]
+        summary = read_json(outdir / "summary.json")
+        assert "records" not in summary
+        assert summary["acc_l2"] == [r.final_test_acc for r in captured["l2"]]
+
     def test_no_bn_mode_available(self, tmp_path):
         outdir = tmp_path / "train"
         assert main(["train", "--preset", "sanity", "--modes", "none,l1c",
@@ -204,9 +230,38 @@ class TestUsage:
         ["train", "--preset", "parity", "--runs", "-1"],
         ["train", "--epochs", "0"],
         ["train", "--epochs", "-1"],
+        ["gradcheck", "--layouts", "3d"],
+        ["gradcheck", "--layouts", "2d,3d"],
+        ["gradcheck", "--m", "0"],
+        ["gradcheck", "--d", "0"],
+        ["gradcheck", "--layouts", "4d", "--height", "0"],
+        ["gradcheck", "--layouts", "4d", "--width", "-1"],
+        ["gradcheck", "--layouts", "4d", "--channels", "0"],
+        ["ratio", "--n", "0"],
+        ["ratio", "--channel-map", "--m", "0"],
+        ["ratio", "--channel-map", "--height", "0"],
+        ["ratio", "--channel-map", "--width", "0"],
+        ["ratio", "--channel-map", "--channels", "0"],
     ])
     def test_bad_option_value_is_usage_error(self, argv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--outdir", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    def test_parser_built_once_and_reusable(self, tmp_path):
+        # the cached parser must carry no state from one call into the next
+        assert build_parser() is build_parser()
+        first, last = tmp_path / "first", tmp_path / "last"
+        assert main(["gradcheck", "--outdir", str(first)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--d", "0", "--outdir", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert main(["ratio", "--n", "1000", "--seed", "5",
+                     "--outdir", str(tmp_path / "ratio")]) == 0
+        assert main(["gradcheck", "--outdir", str(last)]) == 0
+        assert (first / "reports.json").read_bytes() == (last / "reports.json").read_bytes()
+        manifests = [read_json(d / "manifest.json") for d in (first, last)]
+        for manifest in manifests:
+            manifest["options"].pop("outdir")
+        assert manifests[0] == manifests[1]

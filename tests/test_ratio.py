@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1bn.batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode
+from l1bn.batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode, batch_deviation
 from l1bn.ratio import (
     StatisticsError,
     channelwise_ratio_map,
-    deviation_pair,
     gaussian_ratio_trial,
     uniform_ratio_trial,
 )
@@ -79,30 +78,22 @@ class TestChannelwiseMap:
         with pytest.raises(StatisticsError):
             channelwise_ratio_map(Rng(0).normal((4, 4, 4, 2)))
 
+    @pytest.mark.parametrize("shape", [(200, 0), (64, 8, 8, 0)])
+    def test_no_features_rejected(self, shape):
+        with pytest.raises(StatisticsError, match="no features"):
+            channelwise_ratio_map(np.zeros(shape))
+
     def test_mlp_activation_ratios_observational(self):
         # activations of a trained net: report only, no band assertion
         # (nothing guarantees they stay Gaussian)
-        from l1bn.trainer import (Mlp, MlpSpec, SgdConfig, SyntheticTask,
-                                  forward_backward_step, sgd_update)
+        from l1bn.trainer import Mlp, MlpSpec, SgdConfig, SyntheticTask, train
 
         task = SyntheticTask(classes=4, dim=12, train_per_class=200,
                              test_per_class=50, spread=1.0, seed=0)
-        spec = MlpSpec(in_dim=12, hidden=(32, 32), classes=4,
-                       bn_mode=BnMode.L1, seed=0)
-        cfg = SgdConfig(learning_rate=0.1, epochs=5, batch_size=64)
-        model = Mlp(spec)
-        params = model.parameters()
-        velocities = [np.zeros_like(p) for p in params]
-        x_train, y_train, _, _ = task.make()
-        order_rng = Rng(1)
-        for _ in range(cfg.epochs):
-            order = order_rng.permutation(len(x_train))
-            for lo in range(0, len(x_train), cfg.batch_size):
-                idx = order[lo:lo + cfg.batch_size]
-                if idx.size < 2:
-                    continue
-                _, grads = forward_backward_step(model, x_train[idx], y_train[idx])
-                sgd_update(params, grads, cfg, velocities)
+        model = Mlp(MlpSpec(in_dim=12, hidden=(32, 32), classes=4,
+                            bn_mode=BnMode.L1, seed=0))
+        train(model, task, SgdConfig(learning_rate=0.1, epochs=5, batch_size=64))
+        x_train = task.make()[0]
         for act in model.hidden_preactivations(x_train[:512]):
             report = channelwise_ratio_map(act)
             assert np.all(np.isfinite(report.ratios))
@@ -134,7 +125,8 @@ class TestMonteCarloRate:
 class TestDeviationPair:
     def test_matches_direct_formulas(self):
         x = Rng(5).normal((256, 3))
-        sigma_l2, sigma_l1 = deviation_pair(x)
+        sigma_l2 = batch_deviation(x, BnMode.L2)
+        sigma_l1 = batch_deviation(x, BnMode.L1)
         mu = x.mean(axis=0)
         assert np.allclose(sigma_l2, np.sqrt(np.mean((x - mu) ** 2, axis=0)), rtol=1e-14)
         assert np.allclose(sigma_l1, np.mean(np.abs(x - mu), axis=0), rtol=1e-14)

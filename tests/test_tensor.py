@@ -6,23 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import hypothesis.extra.numpy as hnp
 
-from l1bn.tensor import (
-    DomainError,
-    Rng,
-    ShapeError,
-    absolute,
-    add,
-    as_tensor,
-    div,
-    mul,
-    reduce_mean,
-    reduce_sum,
-    sign,
-    sqrt,
-    square,
-    sub,
-    unreduce,
-)
+from l1bn.tensor import DomainError, Rng, ShapeError, reduce_mean, reduce_sum, sign
 
 
 finite_elements = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -65,7 +49,7 @@ class TestRng:
 
 class TestReduce:
     def test_two_point_mean(self):
-        assert reduce_mean(as_tensor([1.0, 3.0]), 0) == 2.0
+        assert reduce_mean(np.array([1.0, 3.0]), 0) == 2.0
 
     def test_zero_tensor(self):
         assert np.all(reduce_mean(np.zeros((3, 4)), (0, 1)) == 0.0)
@@ -73,7 +57,7 @@ class TestReduce:
     def test_direct_summation_oracle(self):
         values = [1.0, 2.0, 3.0, 6.0]
         expected = sum(values) / len(values)  # = 3.0
-        assert reduce_mean(as_tensor(values), 0) == expected
+        assert reduce_mean(np.array(values), 0) == expected
 
     def test_axis_subset_shape(self):
         x = Rng(0).normal((2, 3, 4))
@@ -92,88 +76,20 @@ class TestReduce:
     def test_centering_property(self, seed, axes):
         # subtracting the re-expanded mean leaves zero mean over the same axes
         x = Rng(seed).normal((5, 7), 0.0, 100.0)
-        centered = x - unreduce(reduce_mean(x, axes), x.shape, axes)
+        centered = x - np.expand_dims(reduce_mean(x, axes), axes)
         resid = np.abs(reduce_mean(centered, axes)).max()
         assert resid <= 1e-12 * max(1.0, np.abs(x).max())
-
-    def test_unreduce_round_trip(self):
-        x = Rng(1).normal((3, 4, 5))
-        m = reduce_mean(x, (0, 2))
-        full = unreduce(m, x.shape, (0, 2))
-        assert full.shape == x.shape
-        assert np.all(full[0, :, 0] == m)
-
-    def test_unreduce_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            unreduce(np.zeros(3), (2, 4), (0,))
 
 
 class TestElementwise:
     def test_sign_definition(self):
-        assert np.array_equal(sign(as_tensor([-2.0, 0.0, 5.0])), [-1.0, 0.0, 1.0])
-
-    def test_abs(self):
-        assert np.array_equal(absolute(as_tensor([-1.5, 2.0])), [1.5, 2.0])
-
-    def test_square(self):
-        assert np.array_equal(square(as_tensor([3.0])), [9.0])
-
-    def test_sqrt_domain(self):
-        assert np.array_equal(sqrt(as_tensor([4.0, 0.0])), [2.0, 0.0])
-        with pytest.raises(DomainError):
-            sqrt(as_tensor([-1e-12]))
-
-    def test_shape_mismatch(self):
-        for op in (add, sub, mul, div):
-            with pytest.raises(ShapeError):
-                op(np.zeros(3), np.zeros(4))
-
-    def test_div_by_zero_rejected(self):
-        with pytest.raises(DomainError):
-            div(np.ones(3), as_tensor([1.0, 0.0, 2.0]))
-
-    @given(
-        hnp.arrays(np.float64, small_shapes, elements=finite_elements),
-        st.integers(0, 10_000),
-    )
-    @settings(max_examples=60)
-    def test_binary_ops_match_scalar_reference(self, a, seed):
-        b = Rng(seed).uniform(a.shape, 0.5, 2.0)  # nonzero divisor
-        flat_a, flat_b = a.ravel(), b.ravel()
-        for op, pyop in ((add, lambda u, v: u + v), (sub, lambda u, v: u - v),
-                         (mul, lambda u, v: u * v), (div, lambda u, v: u / v)):
-            out = op(a, b).ravel()
-            for i in range(out.size):
-                assert out[i] == pyop(float(flat_a[i]), float(flat_b[i]))
+        assert np.array_equal(sign(np.array([-2.0, 0.0, 5.0])), [-1.0, 0.0, 1.0])
 
     @given(hnp.arrays(np.float64, small_shapes, elements=finite_elements))
     @settings(max_examples=60)
     def test_unary_ops_match_scalar_reference(self, a):
         flat = a.ravel()
-        assert all(absolute(a).ravel()[i] == abs(float(flat[i])) for i in range(flat.size))
-        assert all(square(a).ravel()[i] == float(flat[i]) * float(flat[i])
-                   for i in range(flat.size))
         s = sign(a).ravel()
         for i in range(flat.size):
             v = float(flat[i])
             assert s[i] == (0.0 if v == 0 else math.copysign(1.0, v))
-
-    @given(hnp.arrays(np.float64, small_shapes, elements=finite_elements),
-           st.integers(0, 10_000))
-    @settings(max_examples=40)
-    def test_results_finite_on_finite_inputs(self, a, seed):
-        b = Rng(seed).uniform(a.shape, 0.5, 2.0)
-        for out in (add(a, b), sub(a, b), mul(a, b), div(a, b),
-                    absolute(a), sign(a), square(a), sqrt(absolute(a))):
-            assert np.all(np.isfinite(out))
-
-
-class TestAsTensor:
-    def test_reshape(self):
-        t = as_tensor([1, 2, 3, 4, 5, 6], shape=(2, 3))
-        assert t.shape == (2, 3) and t.dtype == np.float64
-        assert t.flags["C_CONTIGUOUS"]
-
-    def test_bad_reshape(self):
-        with pytest.raises(ShapeError):
-            as_tensor([1, 2, 3], shape=(2, 2))

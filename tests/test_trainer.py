@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from l1bn import trainer
 from l1bn.batchnorm import BnMode
 from l1bn.gradcheck import finite_diff, relative_errors
 from l1bn.tensor import Rng
@@ -20,6 +21,7 @@ from l1bn.trainer import (
     run_experiment,
     sgd_update,
     softmax_cross_entropy,
+    train,
 )
 
 SANITY_TASK = SyntheticTask(classes=2, dim=5, train_per_class=400, test_per_class=200,
@@ -194,18 +196,10 @@ class TestRunExperiment:
 
     def test_train_and_infer_accuracy_agree_after_convergence(self):
         task = dataclasses.replace(SANITY_TASK, seed=0)
-        spec = sanity_spec(BnMode.L1)
-        rec = run_experiment(task, spec, SANITY_CFG)
+        model = Mlp(sanity_spec(BnMode.L1))
+        rec = train(model, task, SANITY_CFG)
         assert rec.final_test_acc >= 0.99
-        # rebuild and retrain the model to inspect both evaluation modes
-        from l1bn.trainer import _train_epochs
-
-        xtr, ytr, xte, yte = task.make()
-        model = Mlp(spec)
-        params = model.parameters()
-        velocities = [np.zeros_like(p) for p in params]
-        _train_epochs(model, SANITY_CFG, TrainingRecord(mode="l1", seed=0),
-                      params, velocities, Rng(spec.seed + 1), xtr, ytr, xte, yte)
+        _, _, xte, yte = task.make()
         a_train = accuracy(model, xte, yte, training=True)
         a_infer = accuracy(model, xte, yte, training=False)
         assert abs(a_train - a_infer) <= 0.01
@@ -238,6 +232,23 @@ class TestParity:
         summary = parity_gap(task, template, cfg, seeds=(0, 1))
         assert summary["gap_pp"] <= 3.0
         assert min(summary["acc_l2"] + summary["acc_l1"]) >= 0.7
+        for mode, records in summary["records"].items():
+            assert [r.mode for r in records] == [mode, mode]
+            assert [r.seed for r in records] == [0, 1]
+            assert [r.final_test_acc for r in records] == summary[f"acc_{mode}"]
+
+    def test_means_are_sequential_sums(self, monkeypatch):
+        # np.mean sums eight or more values pairwise and rounds differently:
+        # for eight runs at 0.9 it gives 0.9, the sequential sum 0.9000000000000001
+        def fake_run(task, spec, config):
+            return TrainingRecord(mode=spec.bn_mode.value, seed=spec.seed,
+                                  final_test_acc=0.9)
+
+        monkeypatch.setattr(trainer, "run_experiment", fake_run)
+        summary = parity_gap(SANITY_TASK, sanity_spec(BnMode.L2), SANITY_CFG,
+                             seeds=tuple(range(8)))
+        assert summary["mean_acc_l2"] == summary["mean_acc_l1"] == 0.9000000000000001
+        assert summary["gap_pp"] == 0.0
 
 
 class TestSpecValidation:
