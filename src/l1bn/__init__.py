@@ -9,15 +9,14 @@ from .batchnorm import (
     BnParams,
     BnState,
     GradBundle,
-    batch_axes,
     batch_deviation,
+    bn_backward,
     bn_backward_l1_naive,
-    bn_backward_l1_simplified,
-    bn_backward_l2,
     bn_forward_infer,
     bn_forward_train,
     l1_batch_stats,
     l2_batch_stats,
+    rows,
     update_running_stats,
 )
 from .costmodel import LayerShape, OpCosts, count_ops, model_report, parse_architecture

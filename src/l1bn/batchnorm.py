@@ -10,8 +10,8 @@ Training forward, per feature (statistics pooled over the batch axes):
 The L1 deviation of a Gaussian is smaller than its standard deviation by the
 constant sqrt(π/2) ≈ 1.2533; ``L1_COMPENSATED`` folds that factor into σ_B so
 the normalized output matches the L2 scale without touching γ.  One kernel
-serves every mode on the (N, c) view ``x.reshape(-1, c)``; with g = γ·∂ℓ/∂y,
-μ(·) the pooled mean and k the compensation constant, its backward is
+serves every mode on the (N, c) view ``rows(x)``; with g = γ·∂ℓ/∂y, μ(·) the
+pooled mean and k the compensation constant, its one backward, ``bn_backward``, is
 
     ∂ℓ/∂x = (g - μ(g) - μ(g·x̂)·v) / denom,   v = x̂ (L2),  v = k·(sgn x̂ - μ(sgn x̂)) (L1)
 
@@ -46,7 +46,7 @@ class LayoutError(ValueError):
 
 
 class ModeError(ValueError):
-    """A cache produced under one norm was fed to the other norm's backward."""
+    """An L2 cache was fed to the term-by-term L1 backward."""
 
 
 class BatchSizeError(ValueError):
@@ -69,19 +69,11 @@ class BnMode(Enum):
     L1_COMPENSATED = "l1c"
 
 
-def batch_axes(shape) -> tuple[int, ...]:
-    """Axes pooled into the statistics for a supported layout."""
-    rank = len(shape)
-    if rank == 2:
-        return (0,)
-    if rank == 4:
-        return (0, 1, 2)
-    raise LayoutError(f"expected rank 2 (m, d) or rank 4 (m, h, w, c), got rank {rank}")
-
-
-def pooled_count(shape) -> int:
-    """|B|: number of samples pooled into each per-feature statistic."""
-    return int(np.prod([shape[a] for a in batch_axes(shape)]))
+def rows(x: np.ndarray) -> np.ndarray:
+    """The (N, c) view of a supported layout: one row per pooled sample, so N = |B|."""
+    if x.ndim not in (2, 4):
+        raise LayoutError(f"expected rank 2 (m, d) or rank 4 (m, h, w, c), got rank {x.ndim}")
+    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
 
 
 @dataclass
@@ -176,12 +168,11 @@ class GradBundle:
 
 def _centre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pooled mean and a fresh (N, c) array of x - μ_B, pooling every axis but the last."""
-    batch_axes(x.shape)
-    rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
-    if rows.shape[0] < 2:
-        raise BatchSizeError(f"need at least 2 pooled samples, got {rows.shape[0]}")
-    mu = rows.mean(axis=0)
-    return mu, rows - mu
+    x_rows = rows(x)
+    if len(x_rows) < 2:
+        raise BatchSizeError(f"need at least 2 pooled samples, got {len(x_rows)}")
+    mu = x_rows.mean(axis=0)
+    return mu, x_rows - mu
 
 
 def l2_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +200,7 @@ def _compensation(mode: BnMode) -> float:
 
 
 def _check_input(x: np.ndarray, params: BnParams) -> None:
-    batch_axes(x.shape)  # first: a 0-d x would raise IndexError below
-    if x.shape[-1] != params.num_features:
+    if rows(x).shape[1] != params.num_features:
         raise ShapeError(
             f"input has {x.shape[-1]} features but params carry {params.num_features}"
         )
@@ -248,12 +238,13 @@ def bn_forward_train(x: np.ndarray, params: BnParams) -> tuple[np.ndarray, BnCac
     return y.reshape(x.shape), cache
 
 
-def _backward(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle:
-    """The shared backward of the module docstring.  Σ d_y and Σ d_y·x̂ are taken
-    once each: they give μ(g) and μ(g·x̂), and are d_beta and d_gamma."""
+def bn_backward(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle:
+    """The one backward of the module docstring, for every mode: the cache carries
+    the mode.  Σ d_y and Σ d_y·x̂ are taken once each: they give μ(g) and μ(g·x̂),
+    and are d_beta and d_gamma.  For L1 it is algebraically identical to
+    ``bn_backward_l1_naive``, in the signum form that makes the op count explicit."""
     d_y = _check_upstream(d_y, cache)
-    c = d_y.shape[-1]
-    dy, x_hat = d_y.reshape(-1, c), cache.x_hat.reshape(-1, c)
+    dy, x_hat = rows(d_y), rows(cache.x_hat)
     sum_dy, sum_dy_xhat = dy.sum(axis=0), np.einsum("ij,ij->j", dy, x_hat)
     gamma = params.gamma if params.use_affine else 1.0
     mean_g, mean_gx = gamma * sum_dy / len(dy), gamma * sum_dy_xhat / len(dy)
@@ -267,16 +258,14 @@ def _backward(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle:
     d_input += dy * (gamma / cache.denom)
     d_input -= mean_g / cache.denom
     if not params.use_affine:  # γ/β do not influence the output
-        sum_dy_xhat, sum_dy = np.zeros(c), np.zeros(c)
+        sum_dy_xhat, sum_dy = np.zeros_like(sum_dy), np.zeros_like(sum_dy)
     return GradBundle(d_input=d_input.reshape(d_y.shape), d_gamma=sum_dy_xhat, d_beta=sum_dy)
 
 
-def bn_backward_l2(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle:
-    """Backward through the variance-scaled normalization: the shared backward
-    with v = x̂, to which the term-by-term L2 chain rule reduces."""
-    if cache.mode is not BnMode.L2:
-        raise ModeError(f"L2 backward got a {cache.mode.value} cache")
-    return _backward(d_y, cache, params)
+# perfbench/ names both, in its tracer and its bn_conv4d workload.  Aliases, not
+# wrappers: the tracer wraps every name holding the same function, so calls
+# through bn_backward are traced too.
+bn_backward_l2 = bn_backward_l1_simplified = bn_backward
 
 
 def bn_backward_l1_naive(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle:
@@ -291,42 +280,25 @@ def bn_backward_l1_naive(d_y: np.ndarray, cache: BnCache, params: BnParams) -> G
 
     The σ-path term in ∂ℓ/∂x_i uses the partial ∂σ/∂x_i at fixed μ; the
     dependence of σ on μ is routed once, through ∂ℓ/∂μ.  This grouping is the
-    one that matches the finite-difference oracle (and the simplified form
-    below) exactly.
+    one that matches the finite-difference oracle (and ``bn_backward``) exactly.
     """
     if cache.mode is BnMode.L2:
         raise ModeError("L1 backward got an l2 cache")
     d_y = _check_upstream(d_y, cache)
-    g = d_y * params.gamma if params.use_affine else d_y
-    axes = batch_axes(g.shape)
-    m = pooled_count(g.shape)
+    dy, x_hat = rows(d_y), rows(cache.x_hat)
+    g = dy * params.gamma if params.use_affine else dy
+    m = len(g)
     comp = _compensation(cache.mode)
     denom = cache.sigma_b + cache.epsilon
-    s = sign(cache.x_hat)  # sgn(x̂) == sgn(x - μ) since σ+ε > 0
+    s = sign(x_hat)  # sgn(x̂) == sgn(x - μ) since σ+ε > 0
     # (x - μ)/(σ+ε)² = x̂/(σ+ε).
-    d_sigma = -reduce_sum(g * cache.x_hat, axes) / denom
-    mean_s = reduce_mean(s, axes)
-    d_mu = -reduce_sum(g, axes) / denom - d_sigma * comp * mean_s
-    d_input = d_sigma * (comp / m) * s + g / denom + d_mu / m
+    d_sigma = -reduce_sum(g * x_hat, 0) / denom
+    mean_s = reduce_mean(s, 0)
+    d_mu = -reduce_sum(g, 0) / denom - d_sigma * comp * mean_s
+    d_input = (d_sigma * (comp / m) * s + g / denom + d_mu / m).reshape(d_y.shape)
     if not params.use_affine:
         return GradBundle(d_input, np.zeros(params.num_features), np.zeros(params.num_features))
-    return GradBundle(d_input, reduce_sum(d_y * cache.x_hat, axes), reduce_sum(d_y, axes))
-
-
-def bn_backward_l1_simplified(d_y: np.ndarray, cache: BnCache,
-                              params: BnParams) -> GradBundle:
-    """Closed form of the L1 backward using only pooled means and signs.
-
-    With g = ∂ℓ/∂x̂, μ(·) the pooled mean, and k the compensation constant:
-
-        ∂ℓ/∂x_i = (1/(σ+ε)) · { g_i - μ(g) - k·μ(g·x̂)·[sgn(x̂_i) - μ(sgn(x̂))] }
-
-    Algebraically identical to ``bn_backward_l1_naive``; this is the form
-    that makes the signum/absolute op count explicit.
-    """
-    if cache.mode is BnMode.L2:
-        raise ModeError("L1 backward got an l2 cache")
-    return _backward(d_y, cache, params)
+    return GradBundle(d_input, reduce_sum(dy * x_hat, 0), reduce_sum(dy, 0))
 
 
 def update_running_stats(state: BnState, mu_b: np.ndarray,
@@ -345,8 +317,14 @@ def update_running_stats(state: BnState, mu_b: np.ndarray,
     )
 
 
-def inference_scale_shift(params: BnParams, state: BnState) -> tuple[np.ndarray, np.ndarray]:
-    """Fold frozen statistics and the affine stage into one (scale, shift) pair."""
+def bn_forward_infer(x: np.ndarray, params: BnParams, state: BnState) -> np.ndarray:
+    """Single fused multiply-add using running statistics: the frozen statistics
+    and the affine stage fold into one (scale, shift) pair per feature.
+
+    Identical per-sample results whether ``x`` is one sample or a batch.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _check_input(x, params)
     if state.updates == 0:
         raise StateError("running statistics were never updated")
     if state.running_mu.shape[0] != params.num_features:
@@ -359,16 +337,5 @@ def inference_scale_shift(params: BnParams, state: BnState) -> tuple[np.ndarray,
     beta = params.beta if params.use_affine else np.zeros(params.num_features)
     scale = gamma / denom
     shift = beta - scale * state.running_mu
-    return scale, shift
-
-
-def bn_forward_infer(x: np.ndarray, params: BnParams, state: BnState) -> np.ndarray:
-    """Single fused multiply-add using running statistics.
-
-    Identical per-sample results whether ``x`` is one sample or a batch.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    _check_input(x, params)
-    scale, shift = inference_scale_shift(params, state)
     y = np.multiply(x, scale)
     return np.add(y, shift, out=y)

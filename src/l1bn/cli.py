@@ -28,8 +28,6 @@ from .trainer import MlpSpec, SgdConfig, SyntheticTask, parity_gap, run_experime
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1234  # bare invocations are reproducible
 
-_MODES = {"l2": BnMode.L2, "l1": BnMode.L1, "l1c": BnMode.L1_COMPENSATED}
-
 
 def _comma_list(choices: tuple[str, ...]):
     """argparse type for a comma list drawn from ``choices``; keeps the text as given."""
@@ -80,7 +78,7 @@ def _clean_options(args: argparse.Namespace) -> dict:
 
 def cmd_gradcheck(args) -> int:
     outdir = Path(args.outdir)
-    modes = [_MODES[m] for m in args.modes.split(",")]
+    modes = [BnMode(m) for m in args.modes.split(",")]
     layouts = args.layouts.split(",")
     reports = []
     shapes = {"2d": (args.m, args.d), "4d": (args.m, args.height, args.width, args.channels)}
@@ -166,7 +164,7 @@ def cmd_train(args) -> int:
     # sanity: one run per requested mode
     records = {}
     for name in args.modes.split(","):
-        mode = None if name == "none" else _MODES[name]
+        mode = None if name == "none" else BnMode(name)
         spec = MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes,
                        bn_mode=mode, seed=args.seed)
         rec = run_experiment(dataclasses.replace(task, seed=args.seed), spec, config)
@@ -223,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gradcheck", help="certify analytic gradients against finite differences")
-    p.add_argument("--modes", type=_comma_list(tuple(_MODES)), default="l2,l1,l1c",
+    p.add_argument("--modes", type=_comma_list(tuple(m.value for m in BnMode)),
+                   default="l2,l1,l1c",
                    help="comma list of l2,l1,l1c")
     p.add_argument("--layouts", type=_comma_list(("2d", "4d")), default="2d",
                    help="comma list of 2d,4d")
@@ -256,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train synthetic classifiers with either norm")
     p.add_argument("--preset", choices=tuple(_PRESETS), default="sanity")
-    p.add_argument("--modes", type=_comma_list((*_MODES, "none")), default="l2,l1",
+    p.add_argument("--modes", type=_comma_list((*(m.value for m in BnMode), "none")),
+                   default="l2,l1",
                    help="comma list of l2,l1,l1c,none (sanity preset)")
     p.add_argument("--runs", type=_positive_int, default=5,
                    help="seeds per mode (parity preset)")

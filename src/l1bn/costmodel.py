@@ -18,8 +18,8 @@ Each appearance of a square/abs/sign/root counts once per element per step;
 values cached and reused are not recounted.  Inference applies one multiply-add
 per element, so its per-element count of these four ops is zero.  Its fold is a
 per-feature term, like the training root, and is not counted:
-``inference_scale_shift`` rebuilds it on every ``bn_forward_infer`` call, which
-for L2 is c squares and c roots (sqrt(σ²+ε)) per call and for L1 none.
+``bn_forward_infer`` rebuilds it on every call, which for L2 is c squares and
+c roots (sqrt(σ²+ε)) per call and for L1 none.
 
 Per-op weights default to measured FPGA costs (registers, DSP blocks, time,
 power).  The root is a per-feature term, B times rarer than the per-element
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .batchnorm import BnMode
@@ -80,15 +81,33 @@ class OpCosts:
 
     @classmethod
     def from_json(cls, path) -> "OpCosts":
-        """Load overrides from JSON: {"sign": {"time_ns": ..., ...}, ...}."""
+        """Load overrides from JSON: {"sign": {"time_ns": ..., ...}, ...}.
+
+        Raises ValueError naming an unknown op or field, or a value that is not
+        a finite nonnegative number.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: expected a JSON object of per-op overrides, "
+                             f"got a {type(raw).__name__}")
         kwargs = {}
-        for op in OP_NAMES:
-            if op in raw:
-                base = dataclasses.asdict(DEFAULT_OP_COSTS[op])
-                base.update(raw[op])
-                kwargs[op] = OpCost(**base)
+        for op, fields in raw.items():
+            if op not in OP_NAMES:
+                raise ValueError(f"{path}: unknown op {op!r} (expected {', '.join(OP_NAMES)})")
+            if not isinstance(fields, dict):
+                raise ValueError(f"{path}: {op}: expected an object of fields, got {fields!r}")
+            base = dataclasses.asdict(DEFAULT_OP_COSTS[op])
+            for name, value in fields.items():
+                if name not in base:
+                    raise ValueError(
+                        f"{path}: {op}: unknown field {name!r} (expected {', '.join(base)})")
+                if (isinstance(value, bool) or not isinstance(value, (int, float))
+                        or not math.isfinite(value) or value < 0):
+                    raise ValueError(f"{path}: {op}.{name}: expected a finite "
+                                     f"nonnegative number, got {value!r}")
+            base.update(fields)
+            kwargs[op] = OpCost(**base)
         return cls(**kwargs)
 
 
@@ -233,14 +252,6 @@ def model_report(layers: list[LayerShape], costs: OpCosts = OpCosts(),
     )
 
 
-_MODE_ALIASES = {
-    "l2": BnMode.L2,
-    "l1": BnMode.L1,
-    "l1c": BnMode.L1_COMPENSATED,
-    "l1-compensated": BnMode.L1_COMPENSATED,
-}
-
-
 def parse_architecture(path) -> list[LayerShape]:
     """Read a flat architecture file: one layer per line, `name m h w c mode`.
 
@@ -262,12 +273,14 @@ def parse_architecture(path) -> list[LayerShape]:
                 dims = [int(v) for v in (m, h, w, c)]
             except ValueError as exc:
                 raise ArchParseError(f"{path}:{lineno}: non-integer dimension: {exc}") from None
-            if mode.lower() not in _MODE_ALIASES:
+            try:
+                bn_mode = BnMode(mode.lower())
+            except ValueError:
                 raise ArchParseError(
                     f"{path}:{lineno}: unknown mode {mode!r} (expected l2, l1, or l1c)"
-                )
+                ) from None
             try:
-                layers.append(LayerShape(name, *dims, mode=_MODE_ALIASES[mode.lower()]))
+                layers.append(LayerShape(name, *dims, mode=bn_mode))
             except ValueError as exc:
                 raise ArchParseError(f"{path}:{lineno}: {exc}") from None
     return layers

@@ -23,11 +23,10 @@ import numpy as np
 from .batchnorm import (
     BnMode,
     BnParams,
-    batch_axes,
+    bn_backward,
     bn_backward_l1_naive,
-    bn_backward_l1_simplified,
-    bn_backward_l2,
     bn_forward_train,
+    rows,
 )
 from .tensor import Rng
 
@@ -142,49 +141,41 @@ def draw_inputs(mode: BnMode, shape, rng: Rng, tie_margin: float = 1e-3,
     """Sample a standard-normal batch; for L1 modes resample until every element
     sits at least ``tie_margin`` away from its pooled mean (|x-μ| is not
     differentiable at the tie)."""
-    axes = batch_axes(shape)
     for _ in range(max_resamples):
         x = rng.normal(shape)
-        if mode is BnMode.L2:
-            return x
-        mu = np.mean(x, axis=axes)
-        if np.min(np.abs(x - mu)) > tie_margin:
+        x_rows = rows(x)
+        if mode is BnMode.L2 or np.min(np.abs(x_rows - x_rows.mean(axis=0))) > tie_margin:
             return x
     raise DegenerateInputError(
         f"no tie-free batch of shape {tuple(shape)} in {max_resamples} draws"
     )
 
 
-def check_layer(mode: BnMode, shape, seed: int = 0, step: float = 1e-6,
-                epsilon: float = 1e-5, tie_margin: float = 1e-3,
-                max_resamples: int = 100) -> GradReport:
+def check_layer(mode: BnMode, shape, seed: int = 0, step: float = 1e-6) -> GradReport:
     """Run one forward/backward pair against the finite-difference oracle."""
     shape = tuple(shape)
-    if np.prod([shape[a] for a in batch_axes(shape)]) < 4:
+    if len(rows(np.empty(shape))) < 4:
         raise ValueError("pooled count must be at least 4 for a meaningful check")
     rng = Rng(seed)
-    x = draw_inputs(mode, shape, rng, tie_margin, max_resamples)
+    x = draw_inputs(mode, shape, rng)
     c = shape[-1]
     gamma = rng.uniform((c,), 0.5, 1.5)
     beta = rng.uniform((c,), -0.5, 0.5)
-    params = BnParams(gamma=gamma, beta=beta, epsilon=epsilon, mode=mode)
+    params = BnParams(gamma=gamma, beta=beta, mode=mode)
     probe = ProbeLoss(projection=rng.normal(shape))
 
     _, cache = bn_forward_train(x, params)
-    agreement = None
-    if mode is BnMode.L2:
-        bundles = [bn_backward_l2(probe.grad(), cache, params)]
-    else:
+    fused = bn_backward(probe.grad(), cache, params)
+    bundles, agreement = [fused], None
+    if mode is not BnMode.L2:
         naive = bn_backward_l1_naive(probe.grad(), cache, params)
-        simplified = bn_backward_l1_simplified(probe.grad(), cache, params)
-        agreement = float(relative_errors(naive.d_input, simplified.d_input).max())
-        bundles = [naive, simplified]
+        agreement = float(relative_errors(naive.d_input, fused.d_input).max())
+        bundles = [naive, fused]
 
     def side_by_side(xs, gammas, betas):
         """Probe losses of k layers run as one: copy j sees xs[j], gammas[j], betas[j]."""
         k = len(xs)
-        p = BnParams(gamma=gammas.reshape(-1), beta=betas.reshape(-1), epsilon=epsilon,
-                     mode=mode)
+        p = BnParams(gamma=gammas.reshape(-1), beta=betas.reshape(-1), mode=mode)
         ys = bn_forward_train(np.moveaxis(xs, 0, -2).reshape(shape[:-1] + (k * c,)), p)[0]
         ys = np.moveaxis(ys.reshape(shape[:-1] + (k, c)), -2, 0)
         # C order: each copy's products form one contiguous row, which sums as probe(y) does

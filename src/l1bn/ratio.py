@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode, batch_axes, batch_deviation, pooled_count
+from .batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode, batch_deviation, rows
 from .tensor import DomainError, Rng
 
 HISTOGRAM_BINS = 50
@@ -90,7 +90,7 @@ def _report(x: np.ndarray, band_half_width: float) -> RatioReport:
         gaussian_gap=gap,
         in_gaussian_band=bool(abs(gap) <= band_half_width),
         band_half_width=band_half_width,
-        sample_count=pooled_count(x.shape),
+        sample_count=len(rows(x)),
         hist_l2=Histogram.of(np.atleast_1d(sigma_l2)),
         hist_l1=Histogram.of(np.atleast_1d(sigma_l1)),
     )
@@ -124,11 +124,9 @@ def channelwise_ratio_map(x: np.ndarray,
                           band_half_width: float = DEFAULT_BAND_HALF_WIDTH) -> RatioReport:
     """Per-feature/channel ratio map of an activation tensor (2-D or 4-D)."""
     x = np.asarray(x, dtype=np.float64)
-    batch_axes(x.shape)
-    if x.shape[-1] == 0:
+    pooled, features = rows(x).shape
+    if features == 0:
         raise StatisticsError(f"tensor of shape {x.shape} has no features")
-    if pooled_count(x.shape) < 100:
-        raise StatisticsError(
-            f"pooled count {pooled_count(x.shape)} < 100; ratios would be noise"
-        )
+    if pooled < 100:
+        raise StatisticsError(f"pooled count {pooled} < 100; ratios would be noise")
     return _report(x, band_half_width)

@@ -18,13 +18,14 @@ from .batchnorm import (
     BnMode,
     BnParams,
     BnState,
-    bn_backward_l1_simplified,
-    bn_backward_l2,
+    bn_backward,
     bn_forward_infer,
     bn_forward_train,
     update_running_stats,
 )
 from .tensor import Rng
+
+LR_DECAY_FACTOR = 0.1  # learning-rate multiplier at each of SgdConfig.lr_decay_epochs
 
 
 class DivergenceError(RuntimeError):
@@ -38,8 +39,6 @@ class SgdConfig:
     batch_size: int = 128
     epochs: int = 20
     lr_decay_epochs: tuple[int, ...] = ()
-    lr_decay_factor: float = 0.1
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -49,7 +48,7 @@ class SgdConfig:
 
     def lr_at(self, epoch: int) -> float:
         decays = sum(1 for e in self.lr_decay_epochs if epoch >= e)
-        return self.learning_rate * self.lr_decay_factor ** decays
+        return self.learning_rate * LR_DECAY_FACTOR ** decays
 
 
 @dataclass
@@ -146,11 +145,9 @@ class ReluLayer:
 class BnLayer:
     """Batch normalization wrapper owning its params, running state, and cache."""
 
-    def __init__(self, num_features: int, mode: BnMode, momentum: float = 0.9,
-                 epsilon: float = 1e-5, gamma0: float = 1.0):
-        self.params = BnParams.init(num_features, mode=mode, epsilon=epsilon,
-                                    gamma0=gamma0)
-        self.state = BnState.init(num_features, momentum=momentum)
+    def __init__(self, num_features: int, mode: BnMode, gamma0: float = 1.0):
+        self.params = BnParams.init(num_features, mode=mode, gamma0=gamma0)
+        self.state = BnState.init(num_features)
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
@@ -162,10 +159,7 @@ class BnLayer:
         return bn_forward_infer(x, self.params, self.state)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        if self.params.mode is BnMode.L2:
-            bundle = bn_backward_l2(d_out, self._cache, self.params)
-        else:
-            bundle = bn_backward_l1_simplified(d_out, self._cache, self.params)
+        bundle = bn_backward(d_out, self._cache, self.params)
         self.d_gamma = bundle.d_gamma
         self.d_beta = bundle.d_beta
         return bundle.d_input
@@ -262,8 +256,6 @@ def sgd_update(params: list[np.ndarray], grads: list[np.ndarray],
     for p, g, v in zip(params, grads, velocities):
         if p.shape != g.shape:
             raise ValueError(f"param/grad shape mismatch: {p.shape} vs {g.shape}")
-        if config.weight_decay and p.ndim > 1:  # decay weights, not biases/γ/β
-            g = g + config.weight_decay * p
         v *= config.momentum
         v += g
         p -= step * v
@@ -290,8 +282,8 @@ class TrainingRecord:
         ]
 
 
-def accuracy(model: Mlp, x: np.ndarray, y: np.ndarray, training: bool = False) -> float:
-    logits = model.forward(x, training=training)
+def accuracy(model: Mlp, x: np.ndarray, y: np.ndarray) -> float:
+    logits = model.forward(x, training=False)
     return float(np.mean(np.argmax(logits, axis=1) == y))
 
 

@@ -14,8 +14,8 @@ from l1bn.batchnorm import (
     LayoutError,
     ModeError,
     StateError,
-    batch_axes,
     batch_deviation,
+    bn_backward,
     bn_backward_l1_naive,
     bn_backward_l1_simplified,
     bn_backward_l2,
@@ -23,7 +23,7 @@ from l1bn.batchnorm import (
     bn_forward_train,
     l1_batch_stats,
     l2_batch_stats,
-    pooled_count,
+    rows,
     update_running_stats,
 )
 from l1bn.tensor import Rng, ShapeError
@@ -40,10 +40,6 @@ def two_point(v0=1.0, v1=3.0):
     return np.reshape([v0, v1], (2, 1))
 
 
-def backward_for(mode):
-    return bn_backward_l2 if mode is BnMode.L2 else bn_backward_l1_simplified
-
-
 def l2_backward_reference(d_y, cache, params):
     """Term-by-term L2 chain rule, the reference for the shared backward.
 
@@ -56,8 +52,8 @@ def l2_backward_reference(d_y, cache, params):
     Returns (d_input, d_gamma, d_beta); the last two as if γ were trainable.
     """
     g = d_y * params.gamma if params.use_affine else d_y
-    axes = batch_axes(g.shape)
-    m = pooled_count(g.shape)
+    axes = tuple(range(g.ndim - 1))  # every axis but the last
+    m = math.prod(g.shape[:-1])
     var_eps = cache.sigma_b * cache.sigma_b + cache.epsilon
     denom = np.sqrt(var_eps)
     # (x - μ) = x̂·denom, so g·(x-μ)·(σ²+ε)^(-3/2) = g·x̂/(σ²+ε).
@@ -72,13 +68,18 @@ def normwise_gap(a, b):
 
 
 class TestBatchAxes:
+    """Every axis but the last is a batch axis: ``rows`` gives the (N, c) view."""
+
     def test_2d(self):
-        assert batch_axes((8, 5)) == (0,)
-        assert pooled_count((8, 5)) == 8
+        x = np.arange(40.0).reshape(8, 5)
+        assert rows(x).shape == (8, 5) and np.shares_memory(rows(x), x)
+        assert rows(np.empty((8, 0))).shape == (8, 0)
 
     def test_4d(self):
-        assert batch_axes((4, 3, 2, 6)) == (0, 1, 2)
-        assert pooled_count((4, 3, 2, 6)) == 24
+        x = np.arange(144.0).reshape(4, 3, 2, 6)
+        assert rows(x).shape == (24, 6) and np.shares_memory(rows(x), x)
+        assert np.array_equal(rows(x)[7], x[1, 0, 1])  # C order over (m, h, w)
+        assert rows(np.empty((4, 3, 2, 0))).shape == (24, 0)
 
     def test_degenerate_spatial_matches_2d(self):
         x = Rng(0).normal((6, 5))
@@ -100,17 +101,17 @@ class TestBatchAxes:
         assert np.array_equal(y4.reshape(-1, 6), y2)
         assert np.array_equal(cache4.mu_b, cache2.mu_b)
         assert np.array_equal(cache4.sigma_b, cache2.sigma_b)
-        g4 = backward_for(mode)(d_y, cache4, params)
-        g2 = backward_for(mode)(d_y.reshape(-1, 6), cache2, params)
+        g4 = bn_backward(d_y, cache4, params)
+        g2 = bn_backward(d_y.reshape(-1, 6), cache2, params)
         assert g4.d_input.shape == shape
         assert np.array_equal(g4.d_input.reshape(-1, 6), g2.d_input)
         assert np.array_equal(g4.d_gamma, g2.d_gamma)
         assert np.array_equal(g4.d_beta, g2.d_beta)
 
     def test_unsupported_rank(self):
-        for shape in ((5,), (2, 3, 4), (2, 3, 4, 5, 6)):
+        for shape in ((), (5,), (2, 3, 4), (2, 3, 4, 5, 6)):
             with pytest.raises(LayoutError):
-                batch_axes(shape)
+                rows(np.ones(shape))
 
     @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4), (2, 3, 4, 5, 6)])
     def test_forward_rejects_rank_before_feature_check(self, shape):
@@ -253,7 +254,7 @@ class TestBackwardL2:
         params = BnParams.init(3)
         x = Rng(0).normal((8, 3))
         _, cache = bn_forward_train(x, params)
-        g = bn_backward_l2(np.zeros_like(x), cache, params)
+        g = bn_backward(np.zeros_like(x), cache, params)
         assert np.all(g.d_input == 0) and np.all(g.d_gamma == 0) and np.all(g.d_beta == 0)
 
     def test_d_beta_is_pooled_sum(self):
@@ -262,7 +263,7 @@ class TestBackwardL2:
         x = rng.normal((8, 3))
         d_y = rng.normal((8, 3))
         _, cache = bn_forward_train(x, params)
-        g = bn_backward_l2(d_y, cache, params)
+        g = bn_backward(d_y, cache, params)
         assert np.allclose(g.d_beta, d_y.sum(axis=0), rtol=1e-14)
         assert np.allclose(g.d_gamma, (d_y * cache.x_hat).sum(axis=0), rtol=1e-13)
 
@@ -272,22 +273,15 @@ class TestBackwardL2:
         x = rng.normal((4, 3, 3, 2))
         d_y = rng.normal((4, 3, 3, 2))
         _, cache = bn_forward_train(x, params)
-        g = bn_backward_l2(d_y, cache, params)
+        g = bn_backward(d_y, cache, params)
         assert g.d_input.shape == x.shape
         assert np.allclose(g.d_beta, d_y.sum(axis=(0, 1, 2)))
-
-    def test_mode_mismatch(self):
-        params = BnParams.init(3, mode=BnMode.L1)
-        x = Rng(0).normal((8, 3))
-        _, cache = bn_forward_train(x, params)
-        with pytest.raises(ModeError):
-            bn_backward_l2(np.zeros_like(x), cache, params)
 
     def test_d_y_shape_check(self):
         params = BnParams.init(3)
         _, cache = bn_forward_train(Rng(0).normal((8, 3)), params)
         with pytest.raises(ShapeError):
-            bn_backward_l2(np.zeros((4, 3)), cache, params)
+            bn_backward(np.zeros((4, 3)), cache, params)
 
 
 class TestBackwardL1:
@@ -303,7 +297,7 @@ class TestBackwardL1:
 
     def test_zero_upstream(self):
         x, params, cache, _ = self._setup()
-        for backward in (bn_backward_l1_naive, bn_backward_l1_simplified):
+        for backward in (bn_backward_l1_naive, bn_backward):
             g = backward(np.zeros_like(x), cache, params)
             assert np.all(g.d_input == 0) and np.all(g.d_gamma == 0)
 
@@ -312,7 +306,7 @@ class TestBackwardL1:
     def test_naive_matches_simplified(self, mode, shape):
         x, params, cache, d_y = self._setup(mode=mode, shape=shape)
         g_n = bn_backward_l1_naive(d_y, cache, params)
-        g_s = bn_backward_l1_simplified(d_y, cache, params)
+        g_s = bn_backward(d_y, cache, params)
         denom = np.maximum(np.abs(g_n.d_input), 1e-8)
         assert np.max(np.abs(g_n.d_input - g_s.d_input) / denom) <= 1e-10
         assert np.allclose(g_n.d_gamma, g_s.d_gamma, rtol=1e-12)
@@ -323,7 +317,7 @@ class TestBackwardL1:
         x, params, cache, _ = self._setup()
         d_y = np.broadcast_to(np.array([1.0, -2.0, 0.5, 3.0, 0.0, 1.5, -1.0, 2.0]),
                               x.shape).copy()
-        g = bn_backward_l1_simplified(d_y, cache, params)
+        g = bn_backward(d_y, cache, params)
         assert np.abs(g.d_input).max() <= 1e-12
 
     def test_sign_identity(self):
@@ -357,21 +351,25 @@ class TestBackwardL1:
         params = BnParams.init(3, mode=BnMode.L2)
         x = Rng(0).normal((8, 3))
         _, cache = bn_forward_train(x, params)
-        for backward in (bn_backward_l1_naive, bn_backward_l1_simplified):
-            with pytest.raises(ModeError):
-                backward(np.zeros_like(x), cache, params)
+        with pytest.raises(ModeError):
+            bn_backward_l1_naive(np.zeros_like(x), cache, params)
 
     def test_affine_disabled_zero_param_grads(self):
         rng = Rng(4)
         x = rng.normal((12, 3))
         params = BnParams.init(3, mode=BnMode.L1, use_affine=False)
         _, cache = bn_forward_train(x, params)
-        g = bn_backward_l1_simplified(rng.normal((12, 3)), cache, params)
+        g = bn_backward(rng.normal((12, 3)), cache, params)
         assert np.all(g.d_gamma == 0) and np.all(g.d_beta == 0)
 
 
 class TestSharedBackward:
     """The one backward of every mode against the term-by-term chain rules."""
+
+    def test_bench_names_are_aliases(self):
+        # one function object: perfbench's tracer wraps every name that holds it,
+        # so calls through bn_backward are traced under the names it looks up
+        assert bn_backward_l2 is bn_backward and bn_backward_l1_simplified is bn_backward
 
     @pytest.mark.parametrize("use_affine", [True, False])
     @pytest.mark.parametrize("shape", [(16, 8), (4, 3, 3, 2)])
@@ -384,7 +382,7 @@ class TestSharedBackward:
                           beta=rng.uniform((shape[-1],), -0.5, 0.5),
                           mode=mode, use_affine=use_affine)
         _, cache = bn_forward_train(x, params)
-        got = backward_for(mode)(d_y, cache, params)
+        got = bn_backward(d_y, cache, params)
         if mode is BnMode.L2:
             d_input, d_gamma, d_beta = l2_backward_reference(d_y, cache, params)
         else:

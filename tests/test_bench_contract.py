@@ -1,0 +1,47 @@
+"""The l1bn names the benchmark under perfbench/ depends on.
+
+``perfbench/tracer.py`` wraps every name in its ``SPANS`` table by looking it up
+in its owner's ``__dict__``, and the parity workload unpacks the CLI's parity
+preset.  Deleting or renaming one of these fails here, not later as a KeyError
+under ``python3 perfbench/run.py --trace 1``.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+from l1bn import cli
+from l1bn.trainer import SgdConfig, SyntheticTask
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+
+
+def traced_names() -> dict:
+    """perfbench's SPANS table, imported read-only; sys.path is left as found."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        return importlib.import_module("tracer").SPANS
+    finally:
+        sys.path.remove(PERFBENCH)
+        sys.modules.pop("tracer", None)
+
+
+def test_every_traced_name_exists():
+    spans = traced_names()
+    missing = []
+    for module_name, table in spans.items():
+        module = importlib.import_module(f"l1bn.{module_name}")
+        for attr in table:
+            owner, leaf = module, attr
+            if "." in attr:
+                class_name, leaf = attr.split(".")
+                owner = vars(module).get(class_name)
+            if owner is None or leaf not in vars(owner):
+                missing.append(f"l1bn.{module_name}.{attr}")
+    assert spans and not missing
+
+
+def test_parity_preset_unpacks():
+    task, hidden, config = cli._PRESETS["parity"]
+    assert isinstance(task, SyntheticTask) and isinstance(config, SgdConfig)
+    assert hidden and all(isinstance(width, int) for width in hidden)

@@ -210,6 +210,28 @@ class TestCostCommand:
         totals = read_json(outdir / "totals.json")
         assert totals["time_ratio_l2_over_l1"] == 3.0
 
+    @pytest.mark.parametrize("payload, named", [
+        ('{"sqaure": {"time_ns": 6}}', "'sqaure'"),
+        ('[{"square": {"time_ns": 6}}]', "list"),
+        ('{"sign": {"bogus": 1}}', "'bogus'"),
+        ('{"sign": {"time_ns": "x"}}', "'x'"),
+        ('{"sign": {"time_ns": true}}', "True"),
+        ('{"sign": {"time_ns": NaN}}', "nan"),
+        ('{"sign": {"time_ns": -1}}', "sign.time_ns"),
+        ('{"sign": 3}', "3"),
+    ])
+    def test_malformed_costs_exit_one(self, tmp_path, capsys, payload, named):
+        arch = tmp_path / "net.arch"
+        arch.write_text("fc1 16 1 1 4 l2\n")
+        costs = tmp_path / "costs.json"
+        costs.write_text(payload)
+        outdir = tmp_path / "cost"
+        assert main(["cost", "--arch", str(arch), "--costs", str(costs),
+                     "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cost: ") and named in err
+        assert not outdir.exists()
+
 
 class TestUsage:
     def test_no_subcommand_is_usage_error(self):

@@ -40,7 +40,7 @@ class TestCountOps:
     def test_dense_l2_term_count(self):
         counts = count_ops(layer(), BnMode.L2)
         assert counts["square"] == 256 * 100  # one per squared deviation
-        assert counts["root"] == 2 * 100      # forward scale + backward power
+        assert counts["root"] == 2 * 100      # √var and √(var+ε), both in the forward
         assert counts["sign"] == 0 and counts["abs"] == 0
 
     def test_dense_l1_term_count(self):
@@ -188,6 +188,18 @@ class TestArchitectureFile:
         path = tmp_path / "bad.arch"
         path.write_text("fc1 4 1 1 2 l3\n")
         with pytest.raises(ArchParseError, match="unknown mode"):
+            parse_architecture(path)
+
+    def test_mode_is_case_insensitive(self, tmp_path):
+        path = tmp_path / "net.arch"
+        path.write_text("fc1 4 1 1 2 L1C\n")
+        assert parse_architecture(path)[0].mode is BnMode.L1_COMPENSATED
+
+    def test_only_mode_values_accepted(self, tmp_path):
+        # modes are BnMode's values; the long name is not one
+        path = tmp_path / "bad.arch"
+        path.write_text("fc1 4 1 1 2 l1-compensated\n")
+        with pytest.raises(ArchParseError, match=":1:"):
             parse_architecture(path)
 
     def test_nonpositive_dimension_flagged(self, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from l1bn import gradcheck
-from l1bn.batchnorm import BnMode, BnParams, bn_forward_train
+from l1bn.batchnorm import BnMode, BnParams, LayoutError, bn_forward_train
 from l1bn.gradcheck import (
     DegenerateInputError,
     EvaluationError,
@@ -130,6 +130,13 @@ class TestCheckLayer:
         with pytest.raises(ValueError):
             check_layer(BnMode.L2, (2, 3))
 
+    # (2, 1, 3) would also fail the pooled-count check: the layout check comes first
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (2, 1, 3)])
+    @pytest.mark.parametrize("mode", [BnMode.L2, BnMode.L1])
+    def test_unsupported_rank(self, mode, shape):
+        with pytest.raises(LayoutError):
+            check_layer(mode, shape)
+
     def test_report_serializes(self):
         import json
 
@@ -159,10 +166,10 @@ class TestOracleAgainstForward:
             y, _ = bn_forward_train(v, params)
             return probe(y)
 
-        from l1bn.batchnorm import bn_backward_l2
+        from l1bn.batchnorm import bn_backward
 
         _, cache = bn_forward_train(x, params)
-        analytic = bn_backward_l2(probe.grad(), cache, params).d_input
+        analytic = bn_backward(probe.grad(), cache, params).d_input
         numeric = finite_diff(each(f), x, step=1e-6)
         assert relative_errors(analytic, numeric).max() <= 1e-5
 
