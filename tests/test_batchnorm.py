@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,6 +493,48 @@ class TestInference:
         y_train, _ = bn_forward_train(x, params)
         y_infer = bn_forward_infer(x, params, state)
         assert np.std(y_infer - y_train) <= 0.05 * np.std(y_train)
+
+
+class TestPeakMemory:
+    """Each kernel call's traced peak, in multiples of the input's bytes.
+
+    numpy reports its array buffers to tracemalloc.  The forward keeps y and
+    x̂ (2×), the backward holds d_input and one full-size temporary (2×),
+    inference returns y (1×); the allowance covers the per-feature vectors and
+    Python objects (~68 KB at this shape), not one more full-size array.
+    """
+
+    SHAPE = (16, 8, 8, 64)
+    ALLOWANCE = 128 * 1024
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_peak_within_full_size_budget(self, mode):
+        rng = Rng(5)
+        x = rng.normal(self.SHAPE, mu=1.0, sigma=2.0)
+        d_y = rng.normal(self.SHAPE)
+        params = BnParams.init(self.SHAPE[-1], mode=mode)
+        _, cache = bn_forward_train(x, params)
+        state = update_running_stats(BnState.init(self.SHAPE[-1]), cache.mu_b, cache.sigma_b)
+        calls = {
+            "bn_forward_train": (2, lambda: bn_forward_train(x, params)),
+            "bn_backward": (2, lambda: bn_backward(d_y, cache, params)),
+            "bn_forward_infer": (1, lambda: bn_forward_infer(x, params, state)),
+        }
+        tracemalloc.start()
+        try:
+            peaks = {}
+            for name, (_, call) in calls.items():
+                call()  # warm-up: lazily built objects are not the call's cost
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                out = call()
+                peaks[name] = tracemalloc.get_traced_memory()[1] - before
+                del out
+        finally:
+            tracemalloc.stop()
+        for name, (k, _) in calls.items():
+            assert peaks[name] <= k * x.nbytes + self.ALLOWANCE, (
+                f"{name}: peak {peaks[name] / x.nbytes:.2f} × x.nbytes")
 
 
 class TestParams:

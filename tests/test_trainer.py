@@ -9,9 +9,11 @@ from l1bn.batchnorm import BnMode
 from l1bn.gradcheck import finite_diff, relative_errors
 from l1bn.tensor import Rng
 from l1bn.trainer import (
+    DenseLayer,
     DivergenceError,
     Mlp,
     MlpSpec,
+    ReluLayer,
     SgdConfig,
     SyntheticTask,
     TrainingRecord,
@@ -50,6 +52,65 @@ class TestLoss:
         logits = rng.normal((6, 4))
         _, d = softmax_cross_entropy(logits, np.array([0, 1, 2, 3, 0, 1]))
         assert np.allclose(d.sum(axis=1), 0.0, atol=1e-15)
+
+
+class TestLayerExpressions:
+    """The training loop's per-call expressions against their textbook forms, bit for bit."""
+
+    @staticmethod
+    def bits(a):
+        return a.view(np.int64)
+
+    def test_relu_matches_where(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
+                            tiny, -tiny, 1e-310, -1e-310, 1.0, -1.0])
+        x = Rng(3).normal((3000, 64))
+        x.flat[::37] = np.resize(special, x.flat[::37].shape)
+        for training in (True, False):
+            got = ReluLayer().forward(x, training)
+            assert np.array_equal(self.bits(got), self.bits(np.where(x > 0, x, 0.0)))
+
+    @pytest.mark.parametrize("rows,fan_in", [(128, 20), (128, 64), (3000, 64)])
+    def test_dense_matches_matmul_plus_bias(self, rows, fan_in):
+        rng = Rng(4)
+        layer = DenseLayer(rng, fan_in, 64)
+        layer.b[:] = rng.normal((64,))
+        x = rng.normal((rows, fan_in))
+        for training in (True, False):
+            got = layer.forward(x, training)
+            assert np.array_equal(self.bits(got), self.bits(x @ layer.w + layer.b))
+
+    def test_softmax_matches_copy_then_divide(self):
+        rng = Rng(6)
+        # 100 rows: dividing by a power of two would equal multiplying by its inverse
+        logits = rng.normal((100, 10), 0.0, 4.0)
+        labels = rng.permutation(100) % 10
+        loss, d = softmax_cross_entropy(logits, labels)
+        z = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(z)
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        n = logits.shape[0]
+        ref_loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), labels], 1e-300))))
+        ref_d = probs.copy()
+        ref_d[np.arange(n), labels] -= 1.0
+        assert loss == ref_loss
+        assert np.array_equal(self.bits(d), self.bits(ref_d / n))
+
+    @pytest.mark.parametrize("make,width", [(lambda: DenseLayer(Rng(7), 5, 4), 5),
+                                            (ReluLayer, 4)])
+    def test_eval_pass_leaves_backward_unchanged(self, make, width):
+        # an inference forward must not replace what the pending backward reads
+        rng = Rng(8)
+        x = rng.normal((16, width))
+        d_out = rng.normal((16, 4))
+        plain, interrupted = make(), make()
+        plain.forward(x, training=True)
+        interrupted.forward(x, training=True)
+        interrupted.forward(rng.normal((40, width)), training=False)
+        assert np.array_equal(interrupted.backward(d_out), plain.backward(d_out))
+        for a, b in zip(interrupted.gradients(), plain.gradients()):
+            assert np.array_equal(a, b)
 
 
 class TestSgd:
