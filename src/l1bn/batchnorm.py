@@ -28,7 +28,6 @@ Supported layouts (statistics always pool everything except the last axis):
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -166,25 +165,32 @@ class GradBundle:
     d_beta: np.ndarray
 
 
-def _centre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled mean and a fresh (N, c) array of x - μ_B, pooling every axis but the last."""
-    x_rows = rows(x)
+def _mean_rows(x_rows: np.ndarray) -> np.ndarray:
+    """Column means of an (N, c) array: the bits of ``x_rows.mean(axis=0)``, which
+    is this sum and in-place division, without np.mean's Python wrapper."""
+    mean = x_rows.sum(axis=0)
+    mean /= len(x_rows)
+    return mean
+
+
+def _centre(x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled mean and a fresh (N, c) array of x - μ_B, from the rows view."""
     if len(x_rows) < 2:
         raise BatchSizeError(f"need at least 2 pooled samples, got {len(x_rows)}")
-    mu = x_rows.mean(axis=0)
+    mu = _mean_rows(x_rows)
     return mu, x_rows - mu
 
 
 def l2_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pooled mean and biased variance (divisor |B|)."""
-    mu, centred = _centre(np.asarray(x, dtype=np.float64))
+    mu, centred = _centre(rows(np.asarray(x, dtype=np.float64)))
     return mu, np.einsum("ij,ij->j", centred, centred) / len(centred)
 
 
 def l1_batch_stats(x: np.ndarray, compensate: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Pooled mean and mean absolute deviation, optionally scaled by sqrt(π/2)."""
-    mu, centred = _centre(np.asarray(x, dtype=np.float64))
-    sigma = np.abs(centred, out=centred).mean(axis=0)
+    mu, centred = _centre(rows(np.asarray(x, dtype=np.float64)))
+    sigma = _mean_rows(np.abs(centred, out=centred))
     return mu, sigma * GAUSSIAN_STD_OVER_MAD if compensate else sigma
 
 
@@ -199,11 +205,14 @@ def _compensation(mode: BnMode) -> float:
     return GAUSSIAN_STD_OVER_MAD if mode is BnMode.L1_COMPENSATED else 1.0
 
 
-def _check_input(x: np.ndarray, params: BnParams) -> None:
-    if rows(x).shape[1] != params.num_features:
+def _checked_rows(x: np.ndarray, params: BnParams) -> np.ndarray:
+    """``rows(x)``, once its feature count is checked against the params."""
+    x_rows = rows(x)
+    if x_rows.shape[1] != params.num_features:
         raise ShapeError(
             f"input has {x.shape[-1]} features but params carry {params.num_features}"
         )
+    return x_rows
 
 
 def _check_upstream(d_y: np.ndarray, cache: BnCache) -> np.ndarray:
@@ -216,8 +225,7 @@ def _check_upstream(d_y: np.ndarray, cache: BnCache) -> np.ndarray:
 def bn_forward_train(x: np.ndarray, params: BnParams) -> tuple[np.ndarray, BnCache]:
     """Normalize with fresh batch statistics; returns output and backward cache."""
     x = np.asarray(x, dtype=np.float64)
-    _check_input(x, params)
-    mu, x_hat = _centre(x)  # x - μ_B, normalized in place below
+    mu, x_hat = _centre(_checked_rows(x, params))  # x - μ_B, normalized in place below
     y = None
     if params.mode is BnMode.L2:
         var = np.einsum("ij,ij->j", x_hat, x_hat) / len(x_hat)  # no x² temporary
@@ -225,7 +233,7 @@ def bn_forward_train(x: np.ndarray, params: BnParams) -> tuple[np.ndarray, BnCac
         denom = np.sqrt(var + params.epsilon)
     else:
         y = np.abs(x_hat)  # |x - μ_B|; the buffer then takes the output
-        sigma = y.mean(axis=0) * _compensation(params.mode)
+        sigma = _mean_rows(y) * _compensation(params.mode)
         denom = sigma + params.epsilon
     x_hat /= denom
     if params.use_affine:
@@ -253,7 +261,7 @@ def bn_backward(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle
     else:
         k = _compensation(cache.mode)
         s = sign(x_hat)  # sgn(x̂) == sgn(x - μ) since denom > 0
-        mean_g = mean_g - k * mean_gx * s.mean(axis=0)  # the per-feature part of μ(g·x̂)·v
+        mean_g = mean_g - k * mean_gx * _mean_rows(s)  # the per-feature part of μ(g·x̂)·v
         d_input = np.multiply(s, -k * mean_gx / cache.denom, out=s)
     d_input += dy * (gamma / cache.denom)
     d_input -= mean_g / cache.denom
@@ -303,18 +311,21 @@ def bn_backward_l1_naive(d_y: np.ndarray, cache: BnCache, params: BnParams) -> G
 
 def update_running_stats(state: BnState, mu_b: np.ndarray,
                          sigma_b: np.ndarray) -> BnState:
-    """μ ← αμ + (1-α)μ_B and σ ← ασ + (1-α)σ_B; returns a new state."""
+    """μ ← αμ + (1-α)μ_B and σ ← ασ + (1-α)σ_B, in place; returns ``state`` itself.
+
+    The shapes are checked before anything is written, so a mismatch leaves
+    the state as it was.
+    """
     mu_b = np.asarray(mu_b, dtype=np.float64)
     sigma_b = np.asarray(sigma_b, dtype=np.float64)
     if mu_b.shape != state.running_mu.shape or sigma_b.shape != state.running_sigma.shape:
         raise ShapeError("batch statistics length does not match running state")
     a = state.momentum
-    return dataclasses.replace(
-        state,
-        running_mu=a * state.running_mu + (1.0 - a) * mu_b,
-        running_sigma=a * state.running_sigma + (1.0 - a) * sigma_b,
-        updates=state.updates + 1,
-    )
+    for running, batch in ((state.running_mu, mu_b), (state.running_sigma, sigma_b)):
+        running *= a
+        running += (1.0 - a) * batch
+    state.updates += 1
+    return state
 
 
 def bn_forward_infer(x: np.ndarray, params: BnParams, state: BnState) -> np.ndarray:
@@ -324,7 +335,7 @@ def bn_forward_infer(x: np.ndarray, params: BnParams, state: BnState) -> np.ndar
     Identical per-sample results whether ``x`` is one sample or a batch.
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_input(x, params)
+    _checked_rows(x, params)
     if state.updates == 0:
         raise StateError("running statistics were never updated")
     if state.running_mu.shape[0] != params.num_features:

@@ -16,10 +16,11 @@ normalization layer with pooled count B = m·h·w and c features:
 
 Each appearance of a square/abs/sign/root counts once per element per step;
 values cached and reused are not recounted.  Inference applies one multiply-add
-per element, so its per-element count of these four ops is zero.  Its fold is a
-per-feature term, like the training root, and is not counted:
-``bn_forward_infer`` rebuilds it on every call, which for L2 is c squares and
-c roots (sqrt(σ²+ε)) per call and for L1 none.
+per element, so its per-element count of these four ops is zero.  Its fold of
+the running statistics and γ/β into one (scale, shift) pair is a per-feature
+term, counted like the training root: ``bn_forward_infer`` rebuilds it on every
+call, which for L2 is c squares and c roots (sqrt(σ²+ε)) and for L1 none.  The
+fold is not cached, since SGD updates γ and β in place.
 
 Per-op weights default to measured FPGA costs (registers, DSP blocks, time,
 power).  The root is a per-feature term, B times rarer than the per-element
@@ -135,7 +136,9 @@ def count_ops(shape: LayerShape, mode: BnMode, training: bool = True) -> dict[st
     """Exact op counts for one step of one layer under the given norm."""
     counts = dict.fromkeys(OP_NAMES, 0)
     if not training:
-        return counts  # frozen statistics: fused multiply-add only
+        if mode is BnMode.L2:  # the fold's sqrt(σ²+ε); then a fused multiply-add only
+            counts["square"] = counts["root"] = shape.c
+        return counts
     per_feature = shape.pooled * shape.c
     if mode is BnMode.L2:
         counts["square"] = per_feature

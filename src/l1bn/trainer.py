@@ -99,7 +99,7 @@ class SyntheticTask:
 
 
 class DenseLayer:
-    """Fully connected layer with He-style init and momentum buffers."""
+    """Fully connected layer with He-style init."""
 
     def __init__(self, rng: Rng, fan_in: int, fan_out: int):
         self.w = rng.normal((fan_in, fan_out), 0.0, math.sqrt(2.0 / fan_in))
@@ -116,8 +116,8 @@ class DenseLayer:
         return out
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        self.dw = self._x.T @ d_out
-        self.db = d_out.sum(axis=0)
+        np.matmul(self._x.T, d_out, out=self.dw)
+        d_out.sum(axis=0, out=self.db)
         return d_out @ self.w.T
 
     def parameters(self):
@@ -125,6 +125,10 @@ class DenseLayer:
 
     def gradients(self):
         return [self.dw, self.db]
+
+    def bind(self, params, grads) -> None:
+        self.w, self.b = params
+        self.dw, self.db = grads
 
 
 class ReluLayer:
@@ -154,20 +158,22 @@ class BnLayer:
     def __init__(self, num_features: int, mode: BnMode, gamma0: float = 1.0):
         self.params = BnParams.init(num_features, mode=mode, gamma0=gamma0)
         self.state = BnState.init(num_features)
+        self.d_gamma = np.zeros(num_features)
+        self.d_beta = np.zeros(num_features)
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if training:
             y, cache = bn_forward_train(x, self.params)
             self._cache = cache
-            self.state = update_running_stats(self.state, cache.mu_b, cache.sigma_b)
+            update_running_stats(self.state, cache.mu_b, cache.sigma_b)
             return y
         return bn_forward_infer(x, self.params, self.state)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         bundle = bn_backward(d_out, self._cache, self.params)
-        self.d_gamma = bundle.d_gamma
-        self.d_beta = bundle.d_beta
+        self.d_gamma[...] = bundle.d_gamma
+        self.d_beta[...] = bundle.d_beta
         return bundle.d_input
 
     def parameters(self):
@@ -175,6 +181,10 @@ class BnLayer:
 
     def gradients(self):
         return [self.d_gamma, self.d_beta]
+
+    def bind(self, params, grads) -> None:
+        self.params.gamma, self.params.beta = params
+        self.d_gamma, self.d_beta = grads
 
 
 def _gamma_init(mode: BnMode) -> float:
@@ -184,7 +194,13 @@ def _gamma_init(mode: BnMode) -> float:
 
 
 class Mlp:
-    """Stack of Dense(-BN)-ReLU blocks plus a linear classifier head."""
+    """Stack of Dense(-BN)-ReLU blocks plus a linear classifier head.
+
+    Every trainable array is a view into one flat vector ``theta``, and every
+    gradient a view into ``grad``, both in layer order, so one SGD step is four
+    array calls however many layers there are.  The gradient views are live:
+    the next backward overwrites them.
+    """
 
     def __init__(self, spec: MlpSpec):
         self.spec = spec
@@ -199,6 +215,19 @@ class Mlp:
             self.layers.append(ReluLayer())
             fan_in = width
         self.layers.append(DenseLayer(rng, fan_in, spec.classes))
+        self.theta = np.concatenate(
+            [p.ravel() for layer in self.layers for p in layer.parameters()])
+        self.grad = np.zeros_like(self.theta)
+        offset = 0
+        for layer in self.layers:
+            params, grads = [], []
+            for p in layer.parameters():
+                span = slice(offset, offset + p.size)
+                params.append(self.theta[span].reshape(p.shape))
+                grads.append(self.grad[span].reshape(p.shape))
+                offset += p.size
+            if params:
+                layer.bind(params, grads)
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         out = x
@@ -212,10 +241,10 @@ class Mlp:
             d = layer.backward(d)
 
     def parameters(self):
-        return [p for layer in self.layers for p in layer.parameters()]
+        return [self.theta]
 
     def gradients(self):
-        return [g for layer in self.layers for g in layer.gradients()]
+        return [self.grad]
 
     def hidden_preactivations(self, x: np.ndarray) -> list[np.ndarray]:
         """Per-block dense outputs before normalization (inference path)."""

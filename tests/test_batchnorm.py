@@ -430,6 +430,62 @@ class TestRunningStats:
             BnState.init(1, momentum=1.5)
 
 
+class TestRunningStatsInPlace:
+    """``update_running_stats`` writes into the state it is given."""
+
+    @staticmethod
+    def seeded_state():
+        state = BnState.init(3, momentum=0.8)
+        state.running_mu[:] = [0.5, -1.0, 2.0]
+        state.running_sigma[:] = [1.5, 0.25, 3.0]
+        return state
+
+    def test_returns_the_same_state(self):
+        state = self.seeded_state()
+        mu, sigma = state.running_mu, state.running_sigma
+        out = update_running_stats(state, np.ones(3), np.ones(3))
+        assert out is state
+        assert out.running_mu is mu and out.running_sigma is sigma
+
+    def test_second_reference_sees_update(self):
+        state = self.seeded_state()
+        alias = state
+        update_running_stats(state, np.full(3, 4.0), np.full(3, 2.0))
+        assert alias.updates == 1
+        assert np.all(alias.running_mu == 0.8 * np.array([0.5, -1.0, 2.0]) + (1.0 - 0.8) * 4.0)
+
+    def test_updates_counts_each_call(self):
+        state = self.seeded_state()
+        for k in range(1, 4):
+            update_running_stats(state, np.zeros(3), np.ones(3))
+            assert state.updates == k
+
+    def test_same_bits_as_fresh_arrays(self):
+        rng = Rng(11)
+        state = self.seeded_state()
+        mu, sigma = state.running_mu.copy(), state.running_sigma.copy()
+        for _ in range(20):
+            mu_b, sigma_b = rng.normal((3,)), rng.uniform((3,), 0.1, 2.0)
+            update_running_stats(state, mu_b, sigma_b)
+            mu = 0.8 * mu + (1.0 - 0.8) * mu_b
+            sigma = 0.8 * sigma + (1.0 - 0.8) * sigma_b
+            assert np.array_equal(state.running_mu.view(np.int64), mu.view(np.int64))
+            assert np.array_equal(state.running_sigma.view(np.int64), sigma.view(np.int64))
+
+    @pytest.mark.parametrize("bad", ["mu", "sigma"])
+    def test_length_mismatch_changes_nothing(self, bad):
+        state = self.seeded_state()
+        update_running_stats(state, np.ones(3), np.ones(3))
+        before = (state.running_mu.copy(), state.running_sigma.copy(), state.updates)
+        mu_b = np.ones(2 if bad == "mu" else 3)
+        sigma_b = np.ones(2 if bad == "sigma" else 3)
+        with pytest.raises(ShapeError):
+            update_running_stats(state, mu_b, sigma_b)
+        assert np.array_equal(state.running_mu, before[0])
+        assert np.array_equal(state.running_sigma, before[1])
+        assert state.updates == before[2]
+
+
 class TestInference:
     def _trained_state(self, params, feats=3, steps=50, seed=0, batch=64):
         rng = Rng(seed)

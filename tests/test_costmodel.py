@@ -52,9 +52,13 @@ class TestCountOps:
     def test_compensated_same_counts_as_plain(self):
         assert count_ops(layer(), BnMode.L1_COMPENSATED) == count_ops(layer(), BnMode.L1)
 
-    def test_inference_counts_are_zero(self):
-        counts = count_ops(layer(m=1), BnMode.L2, training=False)
-        assert all(v == 0 for v in counts.values())
+    def test_inference_counts_the_fold(self):
+        # per feature, whatever the batch: L2 folds sqrt(σ²+ε), L1 only adds ε
+        for m in (1, 256):
+            assert count_ops(layer(m=m), BnMode.L2, training=False) == {
+                "sign": 0, "abs": 0, "square": 100, "root": 100}
+            for mode in (BnMode.L1, BnMode.L1_COMPENSATED):
+                assert all(v == 0 for v in count_ops(layer(m=m), mode, training=False).values())
 
     def test_counts_linear_in_every_dimension(self):
         base_shape = layer(m=8, h=2, w=2, c=4)

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from l1bn import trainer
-from l1bn.batchnorm import BnMode
+from l1bn import cli, trainer
+from l1bn.batchnorm import BnMode, bn_backward
 from l1bn.gradcheck import finite_diff, relative_errors
 from l1bn.tensor import Rng
 from l1bn.trainer import (
+    BnLayer,
     DenseLayer,
     DivergenceError,
     Mlp,
@@ -111,6 +112,111 @@ class TestLayerExpressions:
         assert np.array_equal(interrupted.backward(d_out), plain.backward(d_out))
         for a, b in zip(interrupted.gradients(), plain.gradients()):
             assert np.array_equal(a, b)
+
+
+def reference_train(model, task, config):
+    """``train`` on separate arrays: every layer gets its own parameter and
+    gradient arrays back, dense gradients are fresh ``x.T @ d`` arrays, and
+    SGD walks the arrays one by one.  Returns the record and the parameters."""
+    for layer in model.layers:
+        if layer.parameters():
+            layer.bind([p.copy() for p in layer.parameters()],
+                       [g.copy() for g in layer.gradients()])
+    params = [p for layer in model.layers for p in layer.parameters()]
+    velocities = [np.zeros_like(p) for p in params]
+    x_train, y_train, x_test, y_test = task.make()
+    record = TrainingRecord(mode=model.spec.bn_mode.value, seed=model.spec.seed)
+    shuffle_rng = Rng(model.spec.seed + 1)
+    n = x_train.shape[0]
+    for epoch in range(config.epochs):
+        lr = config.lr_at(epoch)
+        order = shuffle_rng.permutation(n)
+        losses = []
+        for lo in range(0, n, config.batch_size):
+            idx = order[lo:lo + config.batch_size]
+            logits = model.forward(x_train[idx], training=True)
+            loss, d = softmax_cross_entropy(logits, y_train[idx])
+            grads = []
+            for layer in reversed(model.layers):
+                if isinstance(layer, DenseLayer):
+                    grads[:0] = [layer._x.T @ d, d.sum(axis=0)]
+                    d = d @ layer.w.T
+                elif isinstance(layer, BnLayer):
+                    bundle = bn_backward(d, layer._cache, layer.params)
+                    grads[:0] = [bundle.d_gamma, bundle.d_beta]
+                    d = bundle.d_input
+                else:
+                    d = layer.backward(d)
+            for p, g, v in zip(params, grads, velocities):
+                v *= config.momentum
+                v += g
+                p -= lr * v
+            losses.append(loss * idx.size)
+        record.train_loss.append(float(np.sum(losses) / n))
+        record.train_acc.append(accuracy(model, x_train, y_train))
+        record.test_acc.append(accuracy(model, x_test, y_test))
+    return record, params
+
+
+class TestFlatParameters:
+    """One ``theta`` and one ``grad`` vector per Mlp, with layer views into both."""
+
+    @staticmethod
+    def bits(a):
+        return np.asarray(a, dtype=np.float64).view(np.int64)
+
+    @pytest.mark.parametrize("mode", [BnMode.L2, BnMode.L1])
+    def test_same_bits_as_separate_arrays(self, mode):
+        task, hidden, config = cli._PRESETS["parity"]
+        config = dataclasses.replace(config, epochs=2)
+        spec = MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes,
+                       bn_mode=mode, seed=3)
+        assert task.classes * task.train_per_class % config.batch_size != 1  # no skipped batch
+        model = Mlp(spec)
+        record = train(model, task, config)
+        ref_record, ref_params = reference_train(Mlp(spec), task, config)
+        assert np.array_equal(self.bits(record.rows()), self.bits(ref_record.rows()))
+        assert np.array_equal(self.bits(model.theta),
+                              self.bits(np.concatenate([p.ravel() for p in ref_params])))
+
+    def test_layer_arrays_are_views(self):
+        model = Mlp(MlpSpec(in_dim=5, hidden=(8, 8), classes=3, bn_mode=BnMode.L1, seed=2))
+        (theta,), (grad,) = model.parameters(), model.gradients()
+        assert theta is model.theta and grad is model.grad
+        params = [p for layer in model.layers for p in layer.parameters()]
+        grads = [g for layer in model.layers for g in layer.gradients()]
+        assert len(params) == len(grads) == 3 * 2 + 2 * 2
+        assert all(np.shares_memory(p, model.theta) for p in params)
+        assert all(np.shares_memory(g, model.grad) for g in grads)
+        assert np.array_equal(np.concatenate([p.ravel() for p in params]), model.theta)
+        assert sum(p.size for p in params) == model.theta.size == model.grad.size
+
+    def test_sgd_on_theta_moves_layer_weights(self):
+        model = Mlp(sanity_spec(BnMode.L2))
+        w0 = model.layers[0].w.copy()
+        model.grad[:] = 1.0
+        sgd_update(model.parameters(), model.gradients(), SgdConfig(learning_rate=0.1),
+                   [np.zeros_like(model.theta)])
+        assert np.array_equal(model.layers[0].w, w0 - 0.1)
+
+    def test_backward_writes_into_grad(self):
+        model = Mlp(sanity_spec(BnMode.L1))
+        grad = model.grad
+        _, grads = forward_backward_step(model, Rng(4).normal((16, 5)), np.arange(16) % 2)
+        assert len(grads) == 1 and grads[0] is grad and np.any(grad != 0)
+
+    @pytest.mark.parametrize("mode", [BnMode.L2, None])
+    def test_gradients_are_zeros_before_backward(self, mode):
+        model = Mlp(sanity_spec(mode))
+        for layer in model.layers:
+            grads = layer.gradients()
+            assert [g.shape for g in grads] == [p.shape for p in layer.parameters()]
+            assert all(np.all(g == 0) for g in grads)
+        assert np.all(model.gradients()[0] == 0)
+        for layer in (BnLayer(4, BnMode.L1), DenseLayer(Rng(0), 3, 4)):
+            grads = layer.gradients()
+            assert [g.shape for g in grads] == [p.shape for p in layer.parameters()]
+            assert all(np.all(g == 0) for g in grads)
 
 
 class TestSgd:
