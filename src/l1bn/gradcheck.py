@@ -15,7 +15,6 @@ copy's values and each is normalized exactly as it would be alone.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +99,13 @@ class ParamCheck:
     max_abs_err: float
     worst_index: tuple[int, ...]
 
+    def to_dict(self) -> dict:
+        return {
+            "max_rel_err": self.max_rel_err,
+            "max_abs_err": self.max_abs_err,
+            "worst_index": list(self.worst_index),
+        }
+
 
 @dataclass
 class GradReport:
@@ -119,11 +125,19 @@ class GradReport:
     backward_agreement: float | None = None
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["shape"] = list(self.shape)
-        for slot in ("input", "gamma", "beta"):
-            d[slot]["worst_index"] = list(d[slot]["worst_index"])
-        return d
+        return {
+            "mode": self.mode,
+            "shape": list(self.shape),
+            "seed": self.seed,
+            "step": self.step,
+            "input": self.input.to_dict(),
+            "gamma": self.gamma.to_dict(),
+            "beta": self.beta.to_dict(),
+            "max_rel_err": self.max_rel_err,
+            "max_abs_err": self.max_abs_err,
+            "worst_param": self.worst_param,
+            "backward_agreement": self.backward_agreement,
+        }
 
 
 def _param_check(analytic: np.ndarray, numeric: np.ndarray) -> ParamCheck:

@@ -10,7 +10,6 @@ unchanged.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,9 @@ class Histogram:
         counts, edges = np.histogram(np.log10(values), bins=bins)
         return cls(counts=[int(c) for c in counts],
                    bin_edges_log10=[float(e) for e in edges])
+
+    def to_dict(self) -> dict:
+        return {"counts": list(self.counts), "bin_edges_log10": list(self.bin_edges_log10)}
 
 
 @dataclass
@@ -71,8 +73,8 @@ class RatioReport:
             "sample_count": self.sample_count,
             "num_features": int(self.ratios.shape[0]),
             "ratios": [float(r) for r in self.ratios],
-            "hist_l2": dataclasses.asdict(self.hist_l2),
-            "hist_l1": dataclasses.asdict(self.hist_l1),
+            "hist_l2": self.hist_l2.to_dict(),
+            "hist_l1": self.hist_l1.to_dict(),
         }
 
 

@@ -99,13 +99,18 @@ class SyntheticTask:
 
 
 class DenseLayer:
-    """Fully connected layer with He-style init."""
+    """Fully connected layer with He-style init.
 
-    def __init__(self, rng: Rng, fan_in: int, fan_out: int):
+    With ``input_grad=False`` the backward skips ``d_out @ w.T`` and returns
+    None: the network's first layer has no layer below it to read that gradient.
+    """
+
+    def __init__(self, rng: Rng, fan_in: int, fan_out: int, input_grad: bool = True):
         self.w = rng.normal((fan_in, fan_out), 0.0, math.sqrt(2.0 / fan_in))
         self.b = np.zeros(fan_out)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
+        self.input_grad = input_grad
         self._x = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
@@ -115,10 +120,10 @@ class DenseLayer:
         out += self.b  # same sum as `x @ w + b`, without a second fresh array
         return out
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
+    def backward(self, d_out: np.ndarray) -> np.ndarray | None:
         np.matmul(self._x.T, d_out, out=self.dw)
         d_out.sum(axis=0, out=self.db)
-        return d_out @ self.w.T
+        return d_out @ self.w.T if self.input_grad else None
 
     def parameters(self):
         return [self.w, self.b]
@@ -208,7 +213,7 @@ class Mlp:
         self.layers = []
         fan_in = spec.in_dim
         for width in spec.hidden:
-            self.layers.append(DenseLayer(rng, fan_in, width))
+            self.layers.append(DenseLayer(rng, fan_in, width, input_grad=bool(self.layers)))
             if spec.bn_mode is not None:
                 self.layers.append(BnLayer(width, spec.bn_mode,
                                            gamma0=_gamma_init(spec.bn_mode)))

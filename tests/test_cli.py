@@ -1,6 +1,12 @@
 import csv
 import json
 import math
+import os
+import shutil
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +237,131 @@ class TestCostCommand:
         err = capsys.readouterr().err
         assert err.startswith("cost: ") and named in err
         assert not outdir.exists()
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+SAMPLE_ARCH = str(Path(__file__).resolve().parent.parent / "scripts" / "sample.arch")
+
+
+def snapshot(outdir):
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+def write_arch(tmp_path, name, lines):
+    path = tmp_path / name
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+def shrinking_runs(tmp_path):
+    """(first, second) argv pairs whose second run writes shorter files."""
+    long_arch = write_arch(tmp_path, "three_layers.arch", [
+        "conv1 32 16 16 64 l1", "conv2 32 8 8 128 l1c", "fc1 256 1 1 1000 l2"])
+    short_arch = write_arch(tmp_path, "one.arch", ["fc1 16 1 1 4 l2"])
+    return {
+        "gradcheck": (["gradcheck", "--modes", "l2,l1,l1c"], ["gradcheck", "--modes", "l2"]),
+        "ratio": (["ratio", "--channel-map", "--channels", "16"],
+                  ["ratio", "--channel-map", "--channels", "3"]),
+        "cost": (["cost", "--arch", long_arch], ["cost", "--arch", short_arch]),
+    }
+
+
+# Runs every subcommand with an audit hook that records each open under the
+# output directory; prints the (path, flags) pairs as JSON.
+OPEN_RECORDER = """
+import json, os, sys
+from l1bn.cli import main
+
+outdir, cases = sys.argv[1], json.loads(sys.argv[2])
+opened = []
+
+def record(event, args):
+    if event == "open" and not isinstance(args[0], int):
+        path = os.fsdecode(os.fspath(args[0]))
+        if path.startswith(outdir):
+            opened.append((path, args[2]))
+
+sys.addaudithook(record)
+for i, argv in enumerate(cases):
+    main(argv + ["--outdir", os.path.join(outdir, str(i))])
+print(json.dumps(opened))
+"""
+
+
+class TestOutputFiles:
+    """Outputs are rewritten in place: same bytes as a fresh write, no truncating open."""
+
+    @pytest.mark.parametrize("case", ["gradcheck", "ratio", "cost"])
+    def test_rerun_with_shorter_outputs_leaves_fresh_bytes(self, tmp_path, case):
+        first, second = shrinking_runs(tmp_path)[case]
+        outdir = tmp_path / "out"
+        assert main(second + ["--outdir", str(outdir)]) == 0
+        fresh = snapshot(outdir)
+        shutil.rmtree(outdir)
+        assert main(first + ["--outdir", str(outdir)]) == 0
+        longer = snapshot(outdir)
+        assert main(second + ["--outdir", str(outdir)]) == 0
+        assert snapshot(outdir) == fresh
+        assert set(longer) == set(fresh)
+        assert all(len(longer[name]) > len(fresh[name]) for name in fresh)
+
+    def test_file_modes_match_open_for_writing(self, tmp_path):
+        outdir = tmp_path / "cost"
+        argv = ["cost", "--arch", SAMPLE_ARCH, "--outdir", str(outdir)]
+        old = os.umask(0o002)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            assert main(argv) == 0
+        finally:
+            os.umask(old)
+        expected = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+        assert expected == 0o664
+        assert {stat.S_IMODE(p.stat().st_mode) for p in outdir.iterdir()} == {expected}
+        # a file that exists keeps its mode, as it does under open(path, "w")
+        (outdir / "layers.csv").chmod(0o600)
+        before = snapshot(outdir)
+        assert main(argv) == 0
+        assert stat.S_IMODE((outdir / "layers.csv").stat().st_mode) == 0o600
+        assert snapshot(outdir) == before
+
+    def test_no_subcommand_opens_an_output_with_truncation(self, tmp_path):
+        cases = [
+            ["gradcheck"],
+            ["ratio", "--n", "1000"],
+            ["ratio", "--channel-map", "--channels", "2"],
+            ["train", "--preset", "sanity", "--modes", "l2,none", "--epochs", "1"],
+            ["train", "--preset", "parity", "--runs", "1", "--epochs", "1",
+             "--parity-tolerance-pp", "100"],
+            ["cost", "--arch", SAMPLE_ARCH],
+        ]
+        outdir = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", OPEN_RECORDER, str(outdir), json.dumps(cases)],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        opened = json.loads(proc.stdout.splitlines()[-1])
+        written = {str(p) for p in outdir.rglob("*") if p.is_file()}
+        # the hook saw every output file: a quiet hook would pass vacuously
+        assert {path for path, _ in opened} == written and len(written) >= 6 * 2
+        assert [path for path, flags in opened if flags & os.O_TRUNC] == []
+
+    def test_outputs_are_utf8_whatever_the_locale(self, tmp_path):
+        arch = write_arch(tmp_path, "net.arch", ["conv_\u03b1 32 8 8 16 l1"])
+        here, c_locale = tmp_path / "here", tmp_path / "c_locale"
+        assert main(["cost", "--arch", arch, "--outdir", str(here)]) == 0
+        env = {k: v for k, v in os.environ.items() if not k.startswith("LC_")}
+        env.update(LANG="C", LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "l1bn.cli", "cost", "--arch", arch,
+             "--outdir", str(c_locale)], env=env, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        csv_bytes = (c_locale / "layers.csv").read_bytes()
+        assert csv_bytes.split(b"\r\n")[1].startswith("conv_\u03b1,".encode("utf-8"))
+        assert csv_bytes == (here / "layers.csv").read_bytes()
 
 
 class TestUsage:

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -138,8 +142,6 @@ class TestCheckLayer:
             check_layer(mode, shape)
 
     def test_report_serializes(self):
-        import json
-
         report = check_layer(BnMode.L1, (6, 2), seed=7)
         payload = json.dumps(report.to_dict())
         assert "max_rel_err" in payload
@@ -149,6 +151,36 @@ class TestCheckLayer:
         report = check_layer(BnMode.L1_COMPENSATED, (10, 4), seed=2)
         assert report.gamma.max_rel_err <= 1e-7
         assert report.beta.max_rel_err <= 1e-7
+
+
+def asdict_report(report):
+    """The ``dataclasses.asdict`` form that ``GradReport.to_dict`` replaced."""
+    d = dataclasses.asdict(report)
+    d["shape"] = list(report.shape)
+    for slot in ("input", "gamma", "beta"):
+        d[slot]["worst_index"] = list(d[slot]["worst_index"])
+    return d
+
+
+class TestReportDict:
+    @pytest.mark.parametrize("shape", [(7, 3), (7, 3, 3, 2), (8, 1)])
+    @pytest.mark.parametrize("mode", [BnMode.L2, BnMode.L1])
+    def test_equals_asdict_form(self, mode, shape):
+        report = check_layer(mode, shape, seed=3)
+        d, reference = report.to_dict(), asdict_report(report)
+        assert (d["backward_agreement"] is None) == (mode is BnMode.L2)
+        assert d == reference
+        assert json.dumps(d, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+    def test_returned_lists_are_copies(self):
+        report = check_layer(BnMode.L1, (7, 3, 3, 2), seed=3)
+        before = copy.deepcopy(report)
+        d = report.to_dict()
+        d["shape"].append(99)
+        for slot in ("input", "gamma", "beta"):
+            d[slot]["worst_index"][0] = 99
+            d[slot]["max_rel_err"] = -1.0
+        assert report == before and report.to_dict() == asdict_report(before)
 
 
 class TestOracleAgainstForward:

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -130,6 +133,29 @@ class TestDeviationPair:
         mu = x.mean(axis=0)
         assert np.allclose(sigma_l2, np.sqrt(np.mean((x - mu) ** 2, axis=0)), rtol=1e-14)
         assert np.allclose(sigma_l1, np.mean(np.abs(x - mu), axis=0), rtol=1e-14)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gaussian_ratio_trial(1000, seed=2),                  # c = 1
+        lambda: channelwise_ratio_map(Rng(3).normal((256, 3))),      # 2-D
+        lambda: channelwise_ratio_map(Rng(4).normal((8, 4, 4, 3))),  # 4-D
+    ])
+    def test_histograms_equal_asdict_form(self, make):
+        report = make()
+        d = report.to_dict()
+        reference = {**d, "hist_l2": dataclasses.asdict(report.hist_l2),
+                     "hist_l1": dataclasses.asdict(report.hist_l1)}
+        assert d == reference
+        assert json.dumps(d, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+    def test_returned_lists_are_copies(self):
+        report = channelwise_ratio_map(Rng(3).normal((256, 3)))
+        hists = copy.deepcopy((report.hist_l2, report.hist_l1))
+        d = report.to_dict()
+        for key in ("hist_l2", "hist_l1"):
+            d[key]["counts"][0] += 1
+            d[key]["bin_edges_log10"].append(0.0)
+        assert (report.hist_l2, report.hist_l1) == hists
+        assert report.to_dict()["hist_l2"] == dataclasses.asdict(hists[0])
 
     def test_report_round_trips_to_dict(self):
         report = gaussian_ratio_trial(1000, seed=2)

@@ -310,6 +310,21 @@ class TestForwardBackward:
         _, g2 = forward_backward_step(m2, x, labels)
         assert any(not np.allclose(a, b) for a, b in zip(g1, g2))
 
+    @pytest.mark.parametrize("mode", [BnMode.L1, None])
+    def test_first_layer_produces_no_input_gradient(self, mode):
+        # nothing reads the gradient with respect to the network input
+        model = Mlp(MlpSpec(in_dim=5, hidden=(8, 8), classes=3, bn_mode=mode, seed=1))
+        rng = Rng(2)
+        model.forward(rng.normal((16, 5)), training=True)
+        d, returned = rng.normal((16, 3)), []
+        for layer in reversed(model.layers):
+            d = layer.backward(d)
+            returned.append(d)
+        assert returned[-1] is None
+        assert all(isinstance(r, np.ndarray) for r in returned[:-1])
+        dense = [layer for layer in model.layers if isinstance(layer, DenseLayer)]
+        assert [layer.input_grad for layer in dense] == [False, True, True]
+
     def test_divergence_error_on_nonfinite(self):
         spec = sanity_spec(None)
         model = Mlp(spec)
