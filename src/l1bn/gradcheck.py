@@ -6,11 +6,13 @@ pass under test.  Central differences with a small step on double precision
 give numeric gradients good to ~1e-9 relative, comfortably below the 1e-5
 acceptance threshold.
 
-The oracle is stacked: ``finite_diff`` hands its probe points to the loss in
-batches, and ``check_layer`` evaluates a batch of k points with one training
-forward, placing the k copies of the (…, c) layer side by side as one
-(…, k·c) layer.  Batch statistics are per feature, so no copy sees another
-copy's values and each is normalized exactly as it would be alone.
+The oracle is one stacked pass: ``check_layer`` makes one ``finite_diff`` call
+over θ = (x.ravel(), γ, β), so x, γ and β probes run side by side.
+``finite_diff`` hands its probe points to the loss in batches, and a batch of k
+points costs one training forward, the k copies of the (…, c) layer placed
+side by side as one (…, k·c) layer.  Batch statistics are per feature, so no
+copy sees another copy's values and each is normalized exactly as it would be
+alone.  Every slot of both L1 backward forms is then compared in one pass.
 """
 
 from __future__ import annotations
@@ -34,7 +36,11 @@ _CHUNK_VALUES = 1 << 18  # probe values per call of the loss: 2 MB of float64
 
 
 class EvaluationError(ValueError):
-    """Probe function returned a non-finite value."""
+    """Probe function returned a non-finite value; ``index`` names its coordinate."""
+
+    def __init__(self, message: str, index: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.index = index
 
 
 class DegenerateInputError(ValueError):
@@ -79,9 +85,8 @@ def finite_diff(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
         f_hi, f_lo = losses[:k], losses[k:]
         bad = ~(np.isfinite(f_hi) & np.isfinite(f_lo))
         if bad.any():
-            idx = np.unravel_index(int(coords[np.argmax(bad)]), x.shape)
-            raise EvaluationError(
-                f"non-finite probe value near coordinate {tuple(int(i) for i in idx)}")
+            idx = tuple(int(i) for i in np.unravel_index(int(coords[np.argmax(bad)]), x.shape))
+            raise EvaluationError(f"non-finite probe value near coordinate {idx}", idx)
         grad[coords] = (f_hi - f_lo) / (2.0 * step)
     return grad.reshape(x.shape)
 
@@ -140,16 +145,6 @@ class GradReport:
         }
 
 
-def _param_check(analytic: np.ndarray, numeric: np.ndarray) -> ParamCheck:
-    rel = relative_errors(analytic, numeric)
-    worst = np.unravel_index(int(np.argmax(rel)), rel.shape) if rel.size else ()
-    return ParamCheck(
-        max_rel_err=float(rel.max()) if rel.size else 0.0,
-        max_abs_err=float(np.abs(analytic - numeric).max()) if rel.size else 0.0,
-        worst_index=tuple(int(i) for i in worst),
-    )
-
-
 def draw_inputs(mode: BnMode, shape, rng: Rng, tie_margin: float = 1e-3,
                 max_resamples: int = 100) -> np.ndarray:
     """Sample a standard-normal batch; for L1 modes resample until every element
@@ -186,51 +181,53 @@ def check_layer(mode: BnMode, shape, seed: int = 0, step: float = 1e-6) -> GradR
         agreement = float(relative_errors(naive.d_input, fused.d_input).max())
         bundles = [naive, fused]
 
-    def side_by_side(xs, gammas, betas):
-        """Probe losses of k layers run as one: copy j sees xs[j], gammas[j], betas[j]."""
-        k = len(xs)
-        p = BnParams(gamma=gammas.reshape(-1), beta=betas.reshape(-1), mode=mode)
-        ys = bn_forward_train(np.moveaxis(xs, 0, -2).reshape(shape[:-1] + (k * c,)), p)[0]
+    n = x.size
+    slots = (("input", slice(0, n), shape), ("gamma", slice(n, n + c), (c,)),
+             ("beta", slice(n + c, n + 2 * c), (c,)))
+
+    def side_by_side(thetas):
+        """Probe losses of k layers run as one: copy j reads its x, γ and β from thetas[j]."""
+        k = len(thetas)
+        p = BnParams(gamma=thetas[:, n:n + c].reshape(-1), beta=thetas[:, n + c:].reshape(-1),
+                     mode=mode)
+        # with c = 1 the wide input stays a view in which each copy's column is
+        # contiguous, as a lone (…, 1) layer is, so its sums run in the same order
+        xs = np.moveaxis(thetas[:, :n].reshape((k,) + shape), 0, -2)
+        ys = bn_forward_train(xs.reshape(shape[:-1] + (k * c,)), p)[0]
         ys = np.moveaxis(ys.reshape(shape[:-1] + (k, c)), -2, 0)
         # C order: each copy's products form one contiguous row, which sums as probe(y) does
         return np.multiply(probe.projection, ys, order="C").reshape(k, -1).sum(axis=1)
 
-    def copies(v, k):
-        # contiguous, not a stride-0 view: with c = 1 the wide input then keeps each
-        # copy's column contiguous, as a lone (…, 1) layer is, and sums in the same order
-        return np.repeat(v[np.newaxis], k, axis=0)
+    try:
+        numeric = finite_diff(side_by_side, np.concatenate([x.reshape(-1), gamma, beta]), step)
+    except EvaluationError as exc:
+        (i,) = exc.index
+        name, span, slot_shape = next(slot for slot in slots if i < slot[1].stop)
+        idx = tuple(int(j) for j in np.unravel_index(i - span.start, slot_shape))
+        raise EvaluationError(f"non-finite probe value near {name} {idx}", idx) from exc
 
-    def loss_of_x(xs):
-        return side_by_side(xs, copies(gamma, len(xs)), copies(beta, len(xs)))
-
-    def loss_of_gamma(gs):
-        return side_by_side(copies(x, len(gs)), gs, copies(beta, len(gs)))
-
-    def loss_of_beta(bs):
-        return side_by_side(copies(x, len(bs)), copies(gamma, len(bs)), bs)
-
-    num_input = finite_diff(loss_of_x, x, step)
-    num_gamma = finite_diff(loss_of_gamma, gamma, step)
-    num_beta = finite_diff(loss_of_beta, beta, step)
-
-    # report the worse of the two L1 forms so both are certified at once
-    checks = {
-        "input": max((_param_check(b.d_input, num_input) for b in bundles),
-                     key=lambda ch: ch.max_rel_err),
-        "gamma": max((_param_check(b.d_gamma, num_gamma) for b in bundles),
-                     key=lambda ch: ch.max_rel_err),
-        "beta": max((_param_check(b.d_beta, num_beta) for b in bundles),
-                    key=lambda ch: ch.max_rel_err),
-    }
+    # each bundle's gradients as one row laid out as θ; every slot reports the worse
+    # of the two L1 forms, so both are certified at once, and a tie keeps the first
+    analytic = np.stack([np.concatenate([b.d_input.reshape(-1), b.d_gamma, b.d_beta])
+                         for b in bundles])
+    rel = relative_errors(analytic, numeric)
+    abs_err = np.abs(analytic - numeric)
+    checks = {}
+    for name, span, slot_shape in slots:
+        b = int(np.argmax(rel[:, span].max(axis=1)))
+        worst = int(np.argmax(rel[b, span]))
+        checks[name] = ParamCheck(
+            max_rel_err=float(rel[b, span][worst]),
+            max_abs_err=float(abs_err[b, span].max()),
+            worst_index=tuple(int(j) for j in np.unravel_index(worst, slot_shape)),
+        )
     worst_param = max(checks, key=lambda k: checks[k].max_rel_err)
     return GradReport(
         mode=mode.value,
         shape=shape,
         seed=seed,
         step=step,
-        input=checks["input"],
-        gamma=checks["gamma"],
-        beta=checks["beta"],
+        **checks,
         max_rel_err=checks[worst_param].max_rel_err,
         max_abs_err=max(ch.max_abs_err for ch in checks.values()),
         worst_param=worst_param,

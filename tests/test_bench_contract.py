@@ -12,20 +12,25 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from l1bn import cli, trainer
+from l1bn import cli, gradcheck, trainer
+from l1bn.batchnorm import BnMode
 from l1bn.trainer import MlpSpec, SgdConfig, SyntheticTask
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
 
-def traced_names() -> dict:
-    """perfbench's SPANS table, imported read-only; sys.path is left as found."""
+def perfbench_module(name: str):
+    """A perfbench module, imported read-only; sys.path is left as found."""
     sys.path.insert(0, PERFBENCH)
     try:
-        return importlib.import_module("tracer").SPANS
+        return importlib.import_module(name)
     finally:
         sys.path.remove(PERFBENCH)
-        sys.modules.pop("tracer", None)
+        sys.modules.pop(name, None)
+
+
+def traced_names() -> dict:
+    return perfbench_module("tracer").SPANS
 
 
 def test_every_traced_name_exists():
@@ -73,3 +78,22 @@ def test_training_step_runs_through_module_names(monkeypatch):
                   if min(config.batch_size, n - lo) >= 2)
     assert len(record.train_loss) == 1 and not record.diverged
     assert calls == {"forward_backward_step": batches, "sgd_update": batches}
+
+
+def test_validate_round_probe_count(monkeypatch):
+    # the tracer counts 2·x.size probes per gradcheck.finite_diff call: one call per
+    # check over (x, γ, β) keeps a validate round's gradcheck.probes at 8166
+    sizes = []
+    real = gradcheck.finite_diff
+
+    def counted(f, x, step=1e-6):
+        sizes.append(x.size)
+        return real(f, x, step)
+
+    monkeypatch.setattr(gradcheck, "finite_diff", counted)
+    cases = perfbench_module("workloads").GRAD_CASES
+    for shape, seed in cases:
+        for mode in BnMode:
+            gradcheck.check_layer(mode, shape, seed=seed)
+    assert len(sizes) == 3 * len(cases)
+    assert 2 * sum(sizes) == 8166

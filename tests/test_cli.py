@@ -80,6 +80,15 @@ class TestGradcheckCommand:
             ["reports.json"],
         )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_probe_names_slot_and_index(self, tmp_path, capsys):
+        # a step of 1e308 overflows the first γ probe; the message names γ's own
+        # index, not the flat coordinate of the one pass over (x, γ, β)
+        assert main(["gradcheck", "--step", "1e308", "--outdir", str(tmp_path / "gc")]) == 1
+        err = capsys.readouterr().err
+        assert "gamma" in err and "(0,)" in err
+        assert err.strip() == "gradcheck: non-finite probe value near gamma (0,)"
+
 
 class TestRatioCommand:
     def test_gaussian_summary_near_constant(self, tmp_path, capsys):

@@ -10,6 +10,8 @@ from l1bn.batchnorm import BnMode, BnParams, LayoutError, bn_forward_train
 from l1bn.gradcheck import (
     DegenerateInputError,
     EvaluationError,
+    GradReport,
+    ParamCheck,
     ProbeLoss,
     check_layer,
     draw_inputs,
@@ -172,6 +174,50 @@ class TestReportDict:
         assert d == reference
         assert json.dumps(d, sort_keys=True) == json.dumps(reference, sort_keys=True)
 
+    @pytest.mark.parametrize("shape", [(7, 3), (4, 3, 3, 2), (8, 1), (4, 2, 2, 1)])
+    @pytest.mark.parametrize("mode", list(BnMode))
+    def test_equals_per_slot_form(self, monkeypatch, mode, shape):
+        grads, _ = record_passes(monkeypatch)
+        bundles = record_bundles(monkeypatch)
+        report = check_layer(mode, shape, seed=3)
+        assert report.to_dict() == per_slot_dict(mode, shape, 3, bundles, grads[0])
+
+    @pytest.mark.parametrize("mode", [BnMode.L1, BnMode.L1_COMPENSATED])
+    def test_tie_keeps_naive_form(self, monkeypatch, mode):
+        # both forms get a relative error of exactly 2 in every slot, the naive form
+        # at the slot's last index and the fused form at its first: the naive form,
+        # the first bundle, must be the one reported
+        shape, seed, n, c = (7, 3), 3, 21, 3
+        numeric = loop_theta(mode, shape, seed)
+        nums = {"input": numeric[:n].reshape(shape), "gamma": numeric[n:n + c],
+                "beta": numeric[n + c:]}
+
+        def forge(name, pick):
+            real = getattr(gradcheck, name)
+
+            def backward(*args):
+                bundle = real(*args)
+                for slot, num in nums.items():
+                    d = getattr(bundle, f"d_{slot}").copy()
+                    d.flat[pick(d.size)] = -num.flat[pick(d.size)]  # |a - n| / |n| = 2
+                    setattr(bundle, f"d_{slot}", d)
+                return bundle
+
+            monkeypatch.setattr(gradcheck, name, backward)
+
+        forge("bn_backward_l1_naive", lambda size: size - 1)
+        forge("bn_backward", lambda size: 0)
+        grads, _ = record_passes(monkeypatch)
+        bundles = record_bundles(monkeypatch)
+        report = check_layer(mode, shape, seed=seed)
+        for slot, num in nums.items():
+            check = getattr(report, slot)
+            assert check.max_rel_err == 2.0
+            assert check.worst_index == np.unravel_index(num.size - 1, num.shape)
+            assert check.max_abs_err == 2.0 * abs(num.flat[-1])
+        assert report.worst_param == "input"
+        assert report.to_dict() == per_slot_dict(mode, shape, seed, bundles, grads[0])
+
     def test_returned_lists_are_copies(self):
         report = check_layer(BnMode.L1, (7, 3, 3, 2), seed=3)
         before = copy.deepcopy(report)
@@ -206,9 +252,9 @@ class TestOracleAgainstForward:
         assert relative_errors(analytic, numeric).max() <= 1e-5
 
 
-def record_slots(monkeypatch):
-    """Patch ``gradcheck.finite_diff`` to keep each slot's numeric gradient and the
-    stack size of every call it makes to the loss."""
+def record_passes(monkeypatch):
+    """Patch ``gradcheck.finite_diff`` to keep the numeric gradient of each call and
+    the stack size of every call it makes to the loss."""
     grads, stacks = [], []
     real = gradcheck.finite_diff
 
@@ -227,9 +273,21 @@ def record_slots(monkeypatch):
     return grads, stacks
 
 
-def loop_slots(mode, shape, seed, step=1e-6, epsilon=1e-5):
-    """Input, γ and β gradients as ``check_layer`` drew and probed them one forward
-    per probe, before its probes were stacked."""
+def record_bundles(monkeypatch):
+    """Patch both backward passes in ``gradcheck`` to keep the bundle each returns."""
+    bundles = {}
+    for name in ("bn_backward", "bn_backward_l1_naive"):
+        def keep(*args, _real=getattr(gradcheck, name), _name=name):
+            bundles[_name] = _real(*args)
+            return bundles[_name]
+        monkeypatch.setattr(gradcheck, name, keep)
+    return bundles
+
+
+def loop_theta(mode, shape, seed, step=1e-6, epsilon=1e-5):
+    """The numeric gradient over θ = (x.ravel(), γ, β) as ``check_layer`` drew and
+    probed it one forward per probe, one slot at a time, before its probes were
+    stacked."""
     rng = Rng(seed)
     x = draw_inputs(mode, shape, rng)
     c = shape[-1]
@@ -241,32 +299,76 @@ def loop_slots(mode, shape, seed, step=1e-6, epsilon=1e-5):
         y, _ = bn_forward_train(xv, BnParams(gamma=gv, beta=bv, epsilon=epsilon, mode=mode))
         return probe(y)
 
-    return [finite_diff_loop(lambda v: loss(v, gamma, beta), x, step),
-            finite_diff_loop(lambda v: loss(x, v, beta), gamma, step),
-            finite_diff_loop(lambda v: loss(x, gamma, v), beta, step)]
+    return np.concatenate([finite_diff_loop(lambda v: loss(v, gamma, beta), x, step).ravel(),
+                           finite_diff_loop(lambda v: loss(x, v, beta), gamma, step),
+                           finite_diff_loop(lambda v: loss(x, gamma, v), beta, step)])
+
+
+def param_check(analytic, numeric):
+    """One slot's comparison as ``check_layer`` made it before its slots shared a pass."""
+    rel = relative_errors(analytic, numeric)
+    worst = np.unravel_index(int(np.argmax(rel)), rel.shape)
+    return ParamCheck(max_rel_err=float(rel.max()),
+                      max_abs_err=float(np.abs(analytic - numeric).max()),
+                      worst_index=tuple(int(i) for i in worst))
+
+
+def per_slot_dict(mode, shape, seed, bundles, numeric, step=1e-6):
+    """The report dict built slot by slot, bundle by bundle, naive form first."""
+    n, c = int(np.prod(shape)), shape[-1]
+    nums = {"input": numeric[:n].reshape(shape), "gamma": numeric[n:n + c],
+            "beta": numeric[n + c:]}
+    order = [bundles[k] for k in ("bn_backward_l1_naive", "bn_backward") if k in bundles]
+    checks = {slot: max((param_check(getattr(b, f"d_{slot}"), num) for b in order),
+                        key=lambda ch: ch.max_rel_err)
+              for slot, num in nums.items()}
+    worst_param = max(checks, key=lambda k: checks[k].max_rel_err)
+    agreement = None
+    if len(order) == 2:
+        agreement = float(relative_errors(order[0].d_input, order[1].d_input).max())
+    return GradReport(
+        mode=mode.value, shape=tuple(shape), seed=seed, step=step, **checks,
+        max_rel_err=checks[worst_param].max_rel_err,
+        max_abs_err=max(ch.max_abs_err for ch in checks.values()),
+        worst_param=worst_param, backward_agreement=agreement,
+    ).to_dict()
 
 
 class TestStackedOracle:
+    # One finite_diff call over θ replaced one call per slot (x, γ, β): the θ
+    # gradient must carry the bits each slot's own pass gave.
     @pytest.mark.parametrize("mode", list(BnMode))
     @pytest.mark.parametrize("shape", [(7, 3), (4, 3, 3, 2), (9, 1)])
     def test_bit_identical_to_coordinate_loop(self, monkeypatch, mode, shape):
-        grads, stacks = record_slots(monkeypatch)
+        grads, stacks = record_passes(monkeypatch)
         check_layer(mode, shape, seed=3)
-        assert [len(s) for s in stacks] == [1, 1, 1]  # one forward per slot
-        for stacked, looped in zip(grads, loop_slots(mode, shape, seed=3), strict=True):
-            assert np.array_equal(stacked, looped)
+        assert [len(s) for s in stacks] == [1]  # one finite_diff call, one stacked forward
+        assert np.array_equal(grads[0], loop_theta(mode, shape, seed=3))
+
+    # (4, 3, 3, 2): θ has 76 coordinates, x in [0, 72), γ in [72, 74), β in [74, 76).
+    # For each chunk size, the slot edges each chunk straddles, chunks straddling none
+    # left out.
+    STRADDLED = {
+        1: [],            # 76 chunks of one coordinate
+        5: [[72, 74]],    # [70, 75): all three slots in one chunk
+        3: [[74]],        # [72, 75): the γ|β edge, with x|γ on a chunk edge
+        73: [[72], [74]],  # [0, 73) straddles x|γ and [73, 76) γ|β
+    }
 
     @pytest.mark.parametrize("mode", list(BnMode))
-    @pytest.mark.parametrize("per_chunk", [1, 5])
+    @pytest.mark.parametrize("per_chunk", list(STRADDLED))
     def test_bit_identical_across_chunks(self, monkeypatch, mode, per_chunk):
-        shape = (4, 3, 3, 2)  # 72 input coordinates: 72 or 15 chunks, the last ragged
-        monkeypatch.setattr(gradcheck, "_CHUNK_VALUES", 2 * 72 * per_chunk)
-        grads, stacks = record_slots(monkeypatch)
+        shape, size = (4, 3, 3, 2), 76
+        monkeypatch.setattr(gradcheck, "_CHUNK_VALUES", 2 * size * per_chunk)
+        grads, stacks = record_passes(monkeypatch)
         check_layer(mode, shape, seed=3)
-        assert len(stacks[0]) >= 3
-        assert max(stacks[0]) == 2 * per_chunk and sum(stacks[0]) == 2 * 72
-        for stacked, looped in zip(grads, loop_slots(mode, shape, seed=3), strict=True):
-            assert np.array_equal(stacked, looped)
+        assert len(stacks) == 1
+        assert max(stacks[0]) == 2 * per_chunk and sum(stacks[0]) == 2 * size
+        edges = np.cumsum([0] + stacks[0]) // 2  # each chunk's first coordinate, then the end
+        per_chunk_edges = [[e for e in (72, 74) if lo < e < hi]
+                           for lo, hi in zip(edges, edges[1:])]
+        assert [found for found in per_chunk_edges if found] == self.STRADDLED[per_chunk]
+        assert np.array_equal(grads[0], loop_theta(mode, shape, seed=3))
 
     def test_chunks_bounded(self):
         x = np.zeros((16, 4, 4, 8))
@@ -290,3 +392,60 @@ class TestStackedOracle:
 
         with pytest.raises(EvaluationError, match=r"coordinate \(1, 2\)$"):
             finite_diff(f, x)
+
+
+class TestPassCounts:
+    """What one check costs: one ``finite_diff`` call over the n + 2c coordinates of
+    θ, and one training forward for the analytic gradients plus one per chunk."""
+
+    @pytest.mark.parametrize("per_chunk", [None, 5])  # None: the default chunk
+    @pytest.mark.parametrize("shape", [(5, 2), (16, 8), (4, 3, 3, 2), (6, 2, 2, 4), (9, 1)])
+    @pytest.mark.parametrize("mode", list(BnMode))
+    def test_one_pass_over_theta(self, monkeypatch, mode, shape, per_chunk):
+        size = int(np.prod(shape)) + 2 * shape[-1]
+        if per_chunk:
+            monkeypatch.setattr(gradcheck, "_CHUNK_VALUES", 2 * size * per_chunk)
+        sizes, forwards = [], []
+        real_diff, real_forward = gradcheck.finite_diff, gradcheck.bn_forward_train
+
+        def counted_diff(f, x, step=1e-6):
+            sizes.append(x.size)
+            return real_diff(f, x, step)
+
+        def counted_forward(*args):
+            forwards.append(args[0].shape)
+            return real_forward(*args)
+
+        monkeypatch.setattr(gradcheck, "finite_diff", counted_diff)
+        monkeypatch.setattr(gradcheck, "bn_forward_train", counted_forward)
+        check_layer(mode, shape, seed=3)
+        chunks = -(-size // per_chunk) if per_chunk else 1
+        assert sizes == [size]
+        assert len(forwards) == 1 + chunks and forwards[0] == shape
+
+
+class TestNonFiniteProbe:
+    # (4, 3, 3, 2): θ holds x's 72 coordinates, then γ's 2, then β's 2
+    @pytest.mark.parametrize("flat,slot,index", [
+        (0, "input", (0, 0, 0, 0)),
+        (71, "input", (3, 2, 2, 1)),
+        (72, "gamma", (0,)),
+        (73, "gamma", (1,)),
+        (75, "beta", (1,)),
+    ])
+    def test_error_names_slot_and_index_in_its_shape(self, monkeypatch, flat, slot, index):
+        real = gradcheck.finite_diff
+
+        def poisoned(f, theta, step=1e-6):
+            def g(thetas):
+                losses = f(thetas)
+                losses[thetas[:, flat] != theta[flat]] = np.nan
+                return losses
+            return real(g, theta, step)
+
+        monkeypatch.setattr(gradcheck, "finite_diff", poisoned)
+        with pytest.raises(EvaluationError) as exc:
+            check_layer(BnMode.L1, (4, 3, 3, 2), seed=3)
+        assert str(exc.value) == f"non-finite probe value near {slot} {index}"
+        assert exc.value.index == index
+        assert exc.value.__cause__.index == (flat,)
