@@ -20,7 +20,7 @@ from .batchnorm import (
     update_running_stats,
 )
 from .costmodel import LayerShape, OpCosts, count_ops, model_report, parse_architecture
-from .gradcheck import GradReport, ProbeLoss, check_layer, finite_diff
+from .gradcheck import GradReport, check_layer, finite_diff
 from .ratio import (
     RatioReport,
     channelwise_ratio_map,

@@ -99,9 +99,9 @@ class BnParams:
 
     @classmethod
     def init(cls, num_features: int, mode: BnMode = BnMode.L2, epsilon: float = 1e-5,
-             use_affine: bool = True, gamma0: float = 1.0) -> "BnParams":
+             use_affine: bool = True) -> "BnParams":
         return cls(
-            gamma=np.full(num_features, gamma0, dtype=np.float64),
+            gamma=np.ones(num_features, dtype=np.float64),
             beta=np.zeros(num_features, dtype=np.float64),
             epsilon=epsilon,
             mode=mode,

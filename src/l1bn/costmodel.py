@@ -258,7 +258,8 @@ def model_report(layers: list[LayerShape], costs: OpCosts = OpCosts(),
 def parse_architecture(path) -> list[LayerShape]:
     """Read a flat architecture file: one layer per line, `name m h w c mode`.
 
-    Blank lines and `#` comments are skipped.  Errors carry the line number.
+    Blank lines and `#` comments are skipped.  Errors carry the line number; a
+    file with no layer line is an error too.
     """
     layers = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -286,4 +287,6 @@ def parse_architecture(path) -> list[LayerShape]:
                 layers.append(LayerShape(name, *dims, mode=bn_mode))
             except ValueError as exc:
                 raise ArchParseError(f"{path}:{lineno}: {exc}") from None
+    if not layers:
+        raise ArchParseError(f"{path}: no layers")
     return layers

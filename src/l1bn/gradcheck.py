@@ -47,19 +47,6 @@ class DegenerateInputError(ValueError):
     """Could not draw a batch clear of the |x - μ| kink within the retry cap."""
 
 
-@dataclass
-class ProbeLoss:
-    """Linear scalar loss with an exact, input-independent gradient."""
-
-    projection: np.ndarray
-
-    def __call__(self, y: np.ndarray) -> float:
-        return float(np.sum(self.projection * y))
-
-    def grad(self) -> np.ndarray:
-        return self.projection
-
-
 def finite_diff(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of ``f`` at ``x``.
 
@@ -171,13 +158,13 @@ def check_layer(mode: BnMode, shape, seed: int = 0, step: float = 1e-6) -> GradR
     gamma = rng.uniform((c,), 0.5, 1.5)
     beta = rng.uniform((c,), -0.5, 0.5)
     params = BnParams(gamma=gamma, beta=beta, mode=mode)
-    probe = ProbeLoss(projection=rng.normal(shape))
+    projection = rng.normal(shape)  # the probe loss Σ p∘y has gradient p
 
     _, cache = bn_forward_train(x, params)
-    fused = bn_backward(probe.grad(), cache, params)
+    fused = bn_backward(projection, cache, params)
     bundles, agreement = [fused], None
     if mode is not BnMode.L2:
-        naive = bn_backward_l1_naive(probe.grad(), cache, params)
+        naive = bn_backward_l1_naive(projection, cache, params)
         agreement = float(relative_errors(naive.d_input, fused.d_input).max())
         bundles = [naive, fused]
 
@@ -195,11 +182,15 @@ def check_layer(mode: BnMode, shape, seed: int = 0, step: float = 1e-6) -> GradR
         xs = np.moveaxis(thetas[:, :n].reshape((k,) + shape), 0, -2)
         ys = bn_forward_train(xs.reshape(shape[:-1] + (k * c,)), p)[0]
         ys = np.moveaxis(ys.reshape(shape[:-1] + (k, c)), -2, 0)
-        # C order: each copy's products form one contiguous row, which sums as probe(y) does
-        return np.multiply(probe.projection, ys, order="C").reshape(k, -1).sum(axis=1)
+        # C order: each copy's products form one contiguous row, which sums as
+        # np.sum(p * y) does for a lone layer
+        return np.multiply(projection, ys, order="C").reshape(k, -1).sum(axis=1)
 
     try:
-        numeric = finite_diff(side_by_side, np.concatenate([x.reshape(-1), gamma, beta]), step)
+        # a probe that overflows is reported below, by slot, instead of warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            numeric = finite_diff(side_by_side, np.concatenate([x.reshape(-1), gamma, beta]),
+                                  step)
     except EvaluationError as exc:
         (i,) = exc.index
         name, span, slot_shape = next(slot for slot in slots if i < slot[1].stop)

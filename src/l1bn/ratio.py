@@ -22,7 +22,7 @@ DEFAULT_BAND_HALF_WIDTH = 0.01
 
 
 class StatisticsError(ValueError):
-    """Pooled sample count too small for a meaningful ratio."""
+    """Pooled sample count too small, or a channel with zero deviation: no meaningful ratio."""
 
 
 @dataclass
@@ -81,6 +81,9 @@ class RatioReport:
 def _report(x: np.ndarray, band_half_width: float) -> RatioReport:
     sigma_l2 = batch_deviation(x, BnMode.L2)
     sigma_l1 = batch_deviation(x, BnMode.L1)
+    constant = np.flatnonzero((sigma_l2 == 0) | (sigma_l1 == 0))
+    if constant.size:
+        raise StatisticsError(f"channel {constant[0]} has zero deviation; its ratio is undefined")
     ratios = sigma_l2 / sigma_l1
     mean_ratio = float(np.mean(ratios))
     gap = mean_ratio - GAUSSIAN_STD_OVER_MAD

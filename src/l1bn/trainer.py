@@ -101,15 +101,16 @@ class SyntheticTask:
 class DenseLayer:
     """Fully connected layer with He-style init.
 
-    With ``input_grad=False`` the backward skips ``d_out @ w.T`` and returns
-    None: the network's first layer has no layer below it to read that gradient.
+    ``take(*shape)`` hands out a parameter array and its gradient array; the
+    layer takes ``w`` then ``b`` and trains them in place.  With
+    ``input_grad=False`` the backward skips ``d_out @ w.T`` and returns None:
+    the network's first layer has no layer below it to read that gradient.
     """
 
-    def __init__(self, rng: Rng, fan_in: int, fan_out: int, input_grad: bool = True):
-        self.w = rng.normal((fan_in, fan_out), 0.0, math.sqrt(2.0 / fan_in))
-        self.b = np.zeros(fan_out)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+    def __init__(self, take, rng: Rng, fan_in: int, fan_out: int, input_grad: bool = True):
+        self.w, self.dw = take(fan_in, fan_out)
+        self.w[...] = rng.normal((fan_in, fan_out), 0.0, math.sqrt(2.0 / fan_in))
+        self.b, self.db = take(fan_out)
         self.input_grad = input_grad
         self._x = None
 
@@ -124,16 +125,6 @@ class DenseLayer:
         np.matmul(self._x.T, d_out, out=self.dw)
         d_out.sum(axis=0, out=self.db)
         return d_out @ self.w.T if self.input_grad else None
-
-    def parameters(self):
-        return [self.w, self.b]
-
-    def gradients(self):
-        return [self.dw, self.db]
-
-    def bind(self, params, grads) -> None:
-        self.w, self.b = params
-        self.dw, self.db = grads
 
 
 class ReluLayer:
@@ -150,21 +141,19 @@ class ReluLayer:
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         return d_out * self._mask
 
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
 
 class BnLayer:
-    """Batch normalization wrapper owning its params, running state, and cache."""
+    """Batch normalization wrapper owning its running state and cache; γ and β,
+    and their gradients, are the arrays ``take`` hands it."""
 
-    def __init__(self, num_features: int, mode: BnMode, gamma0: float = 1.0):
-        self.params = BnParams.init(num_features, mode=mode, gamma0=gamma0)
+    def __init__(self, take, num_features: int, mode: BnMode):
+        gamma, self.d_gamma = take(num_features)
+        beta, self.d_beta = take(num_features)
+        # plain L1 deviations run ~1.25x small on Gaussian activations; a slightly
+        # smaller gamma start keeps early training on the same footing
+        gamma[...] = 0.8 if mode is BnMode.L1 else 1.0
+        self.params = BnParams(gamma=gamma, beta=beta, mode=mode)
         self.state = BnState.init(num_features)
-        self.d_gamma = np.zeros(num_features)
-        self.d_beta = np.zeros(num_features)
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
@@ -181,58 +170,40 @@ class BnLayer:
         self.d_beta[...] = bundle.d_beta
         return bundle.d_input
 
-    def parameters(self):
-        return [self.params.gamma, self.params.beta]
-
-    def gradients(self):
-        return [self.d_gamma, self.d_beta]
-
-    def bind(self, params, grads) -> None:
-        self.params.gamma, self.params.beta = params
-        self.d_gamma, self.d_beta = grads
-
-
-def _gamma_init(mode: BnMode) -> float:
-    # plain L1 deviations run ~1.25x small on Gaussian activations; a slightly
-    # smaller gamma start keeps early training on the same footing
-    return 0.8 if mode is BnMode.L1 else 1.0
-
 
 class Mlp:
     """Stack of Dense(-BN)-ReLU blocks plus a linear classifier head.
 
     Every trainable array is a view into one flat vector ``theta``, and every
     gradient a view into ``grad``, both in layer order, so one SGD step is four
-    array calls however many layers there are.  The gradient views are live:
-    the next backward overwrites them.
+    array calls however many layers there are.  Each layer takes its views when
+    it is built.  The gradient views are live: the next backward overwrites them.
     """
 
     def __init__(self, spec: MlpSpec):
         self.spec = spec
+        widths = (spec.in_dim, *spec.hidden, spec.classes)
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+        if spec.bn_mode is not None:
+            size += 2 * sum(spec.hidden)
+        self.theta = np.zeros(size)
+        self.grad = np.zeros(size)
+        offset = 0
+
+        def take(*shape):
+            nonlocal offset
+            span = slice(offset, offset + math.prod(shape))
+            offset = span.stop
+            return self.theta[span].reshape(shape), self.grad[span].reshape(shape)
+
         rng = Rng(spec.seed)
         self.layers = []
-        fan_in = spec.in_dim
-        for width in spec.hidden:
-            self.layers.append(DenseLayer(rng, fan_in, width, input_grad=bool(self.layers)))
+        for fan_in, width in zip(widths, spec.hidden):
+            self.layers.append(DenseLayer(take, rng, fan_in, width, input_grad=bool(self.layers)))
             if spec.bn_mode is not None:
-                self.layers.append(BnLayer(width, spec.bn_mode,
-                                           gamma0=_gamma_init(spec.bn_mode)))
+                self.layers.append(BnLayer(take, width, spec.bn_mode))
             self.layers.append(ReluLayer())
-            fan_in = width
-        self.layers.append(DenseLayer(rng, fan_in, spec.classes))
-        self.theta = np.concatenate(
-            [p.ravel() for layer in self.layers for p in layer.parameters()])
-        self.grad = np.zeros_like(self.theta)
-        offset = 0
-        for layer in self.layers:
-            params, grads = [], []
-            for p in layer.parameters():
-                span = slice(offset, offset + p.size)
-                params.append(self.theta[span].reshape(p.shape))
-                grads.append(self.grad[span].reshape(p.shape))
-                offset += p.size
-            if params:
-                layer.bind(params, grads)
+        self.layers.append(DenseLayer(take, rng, widths[-2], spec.classes))
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         out = x
@@ -244,12 +215,6 @@ class Mlp:
         d = d_logits
         for layer in reversed(self.layers):
             d = layer.backward(d)
-
-    def parameters(self):
-        return [self.theta]
-
-    def gradients(self):
-        return [self.grad]
 
     def hidden_preactivations(self, x: np.ndarray) -> list[np.ndarray]:
         """Per-block dense outputs before normalization (inference path)."""
@@ -277,30 +242,27 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 
 
 def forward_backward_step(model: Mlp, batch: np.ndarray,
-                          labels: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """One training forward/backward; raises DivergenceError on non-finite loss."""
+                          labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """One training forward/backward; returns the loss and ``model.grad``.
+    Raises DivergenceError on non-finite loss."""
     logits = model.forward(batch, training=True)
     loss, d_logits = softmax_cross_entropy(logits, labels)
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
     model.backward(d_logits)
-    return loss, model.gradients()
+    return loss, model.grad
 
 
-def sgd_update(params: list[np.ndarray], grads: list[np.ndarray],
-               config: SgdConfig, velocities: list[np.ndarray],
-               lr: float | None = None) -> list[np.ndarray]:
-    """v ← momentum·v + g; θ ← θ - lr·v.  Updates in place and returns params."""
-    if len(params) != len(grads) or len(params) != len(velocities):
-        raise ValueError("params/grads/velocities length mismatch")
-    step = config.learning_rate if lr is None else lr
-    for p, g, v in zip(params, grads, velocities):
-        if p.shape != g.shape:
-            raise ValueError(f"param/grad shape mismatch: {p.shape} vs {g.shape}")
-        v *= config.momentum
-        v += g
-        p -= step * v
-    return params
+def sgd_update(theta: np.ndarray, grad: np.ndarray, config: SgdConfig,
+               velocity: np.ndarray, lr: float) -> np.ndarray:
+    """v ← momentum·v + g; θ ← θ - lr·v.  Updates in place and returns theta."""
+    if not theta.shape == grad.shape == velocity.shape:
+        raise ValueError(f"theta/grad/velocity shape mismatch: "
+                         f"{theta.shape}, {grad.shape}, {velocity.shape}")
+    velocity *= config.momentum
+    velocity += grad
+    theta -= lr * velocity
+    return theta
 
 
 @dataclass
@@ -335,8 +297,7 @@ def train(model: Mlp, task: SyntheticTask, config: SgdConfig) -> TrainingRecord:
     spec = model.spec
     mode = spec.bn_mode.value if spec.bn_mode is not None else "none"
     record = TrainingRecord(mode=mode, seed=spec.seed)
-    params = model.parameters()
-    velocities = [np.zeros_like(p) for p in params]
+    velocity = np.zeros_like(model.theta)
     shuffle_rng = Rng(spec.seed + 1)
     n = x_train.shape[0]
     started = time.perf_counter()
@@ -352,8 +313,8 @@ def train(model: Mlp, task: SyntheticTask, config: SgdConfig) -> TrainingRecord:
                     idx = order[lo:lo + config.batch_size]
                     if idx.size < 2:  # batch statistics need at least two samples
                         continue
-                    loss, grads = forward_backward_step(model, x_train[idx], y_train[idx])
-                    sgd_update(params, grads, config, velocities, lr=lr)
+                    loss, grad = forward_backward_step(model, x_train[idx], y_train[idx])
+                    sgd_update(model.theta, grad, config, velocity, lr)
                     losses.append(loss * idx.size)
                 # epoch metrics from full passes: for the parity preset about
                 # 0.22 s of a 1.4 s two-run round (perfbench trainer.eval.self_s,

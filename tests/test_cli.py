@@ -80,7 +80,7 @@ class TestGradcheckCommand:
             ["reports.json"],
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_probe_names_slot_and_index(self, tmp_path, capsys):
         # a step of 1e308 overflows the first γ probe; the message names γ's own
         # index, not the flat coordinate of the one pass over (x, γ, β)
@@ -371,6 +371,29 @@ class TestOutputFiles:
         csv_bytes = (c_locale / "layers.csv").read_bytes()
         assert csv_bytes.split(b"\r\n")[1].startswith("conv_\u03b1,".encode("utf-8"))
         assert csv_bytes == (here / "layers.csv").read_bytes()
+
+
+class TestOneLineErrors:
+    """Failing input ends the process with exit 1 and one stderr line, with no
+    numpy warning before it."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["gradcheck", "--step", "1e308"],
+         "gradcheck: non-finite probe value near gamma (0,)"),
+        (["ratio", "--channel-map", "--sigma", "0"],
+         "ratio: channel 0 has zero deviation; its ratio is undefined"),
+        (["cost", "--arch", "{empty}"], "cost: {empty}: no layers"),
+    ], ids=["gradcheck-overflow", "ratio-constant-channel", "cost-no-layers"])
+    def test_exit_one_with_one_stderr_line(self, tmp_path, argv, line):
+        empty = write_arch(tmp_path, "empty.arch", ["# no layers here"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "l1bn.cli", *(a.format(empty=empty) for a in argv),
+             "--outdir", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [line.format(empty=empty)]
+        assert proc.stdout == ""
 
 
 class TestUsage:

@@ -206,6 +206,15 @@ class TestArchitectureFile:
         with pytest.raises(ArchParseError, match=":1:"):
             parse_architecture(path)
 
+    @pytest.mark.parametrize("text", ["", "\n", "# only a comment\n\n  # another\n"],
+                             ids=["empty", "blank", "comments"])
+    def test_no_layers_flagged(self, tmp_path, text):
+        path = tmp_path / "empty.arch"
+        path.write_text(text)
+        with pytest.raises(ArchParseError) as exc:
+            parse_architecture(path)
+        assert str(exc.value) == f"{path}: no layers"
+
     def test_nonpositive_dimension_flagged(self, tmp_path):
         path = tmp_path / "bad.arch"
         path.write_text("fc1 0 1 1 2 l2\n")

@@ -86,6 +86,14 @@ class TestChannelwiseMap:
         with pytest.raises(StatisticsError, match="no features"):
             channelwise_ratio_map(np.zeros(shape))
 
+    def test_constant_channel_rejected_before_any_division(self):
+        x = Rng(0).normal((200, 4))
+        x[:, 2] = 7.0
+        x[:, 3] = 0.0
+        # a 0/0 or log10(0) would raise FloatingPointError here, not StatisticsError
+        with np.errstate(all="raise"), pytest.raises(StatisticsError, match="^channel 2 "):
+            channelwise_ratio_map(x)
+
     def test_mlp_activation_ratios_observational(self):
         # activations of a trained net: report only, no band assertion
         # (nothing guarantees they stay Gaussian)

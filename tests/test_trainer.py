@@ -41,6 +41,20 @@ def sanity_spec(mode, seed=0):
     return MlpSpec(in_dim=5, hidden=(16,), classes=2, bn_mode=mode, seed=seed)
 
 
+def fresh(*shape):
+    """``take`` for a layer built outside an Mlp: new zero arrays."""
+    return np.zeros(shape), np.zeros(shape)
+
+
+def layer_arrays(layer):
+    """A layer's parameter arrays and gradient arrays, in the order it took them."""
+    if isinstance(layer, DenseLayer):
+        return [layer.w, layer.b], [layer.dw, layer.db]
+    if isinstance(layer, BnLayer):
+        return [layer.params.gamma, layer.params.beta], [layer.d_gamma, layer.d_beta]
+    return [], []
+
+
 class TestLoss:
     def test_uniform_logits_maximum_entropy(self):
         logits = np.zeros((8, 10))
@@ -75,7 +89,7 @@ class TestLayerExpressions:
     @pytest.mark.parametrize("rows,fan_in", [(128, 20), (128, 64), (3000, 64)])
     def test_dense_matches_matmul_plus_bias(self, rows, fan_in):
         rng = Rng(4)
-        layer = DenseLayer(rng, fan_in, 64)
+        layer = DenseLayer(fresh, rng, fan_in, 64)
         layer.b[:] = rng.normal((64,))
         x = rng.normal((rows, fan_in))
         for training in (True, False):
@@ -98,7 +112,7 @@ class TestLayerExpressions:
         assert loss == ref_loss
         assert np.array_equal(self.bits(d), self.bits(ref_d / n))
 
-    @pytest.mark.parametrize("make,width", [(lambda: DenseLayer(Rng(7), 5, 4), 5),
+    @pytest.mark.parametrize("make,width", [(lambda: DenseLayer(fresh, Rng(7), 5, 4), 5),
                                             (ReluLayer, 4)])
     def test_eval_pass_leaves_backward_unchanged(self, make, width):
         # an inference forward must not replace what the pending backward reads
@@ -110,19 +124,24 @@ class TestLayerExpressions:
         interrupted.forward(x, training=True)
         interrupted.forward(rng.normal((40, width)), training=False)
         assert np.array_equal(interrupted.backward(d_out), plain.backward(d_out))
-        for a, b in zip(interrupted.gradients(), plain.gradients()):
+        for a, b in zip(layer_arrays(interrupted)[1], layer_arrays(plain)[1]):
             assert np.array_equal(a, b)
 
 
 def reference_train(model, task, config):
-    """``train`` on separate arrays: every layer gets its own parameter and
-    gradient arrays back, dense gradients are fresh ``x.T @ d`` arrays, and
-    SGD walks the arrays one by one.  Returns the record and the parameters."""
+    """``train`` on separate arrays: every layer gets its own copy of each
+    parameter and gradient array, dense gradients are fresh ``x.T @ d`` arrays,
+    and SGD walks the arrays one by one.  Returns the record and the parameters."""
     for layer in model.layers:
-        if layer.parameters():
-            layer.bind([p.copy() for p in layer.parameters()],
-                       [g.copy() for g in layer.gradients()])
-    params = [p for layer in model.layers for p in layer.parameters()]
+        if isinstance(layer, DenseLayer):
+            layer.w, layer.b = layer.w.copy(), layer.b.copy()
+            layer.dw, layer.db = layer.dw.copy(), layer.db.copy()
+        elif isinstance(layer, BnLayer):
+            layer.params.gamma, layer.params.beta = (layer.params.gamma.copy(),
+                                                     layer.params.beta.copy())
+            layer.d_gamma, layer.d_beta = layer.d_gamma.copy(), layer.d_beta.copy()
+    params = [p for layer in model.layers for p in layer_arrays(layer)[0]]
+    assert not any(np.shares_memory(p, model.theta) for p in params)
     velocities = [np.zeros_like(p) for p in params]
     x_train, y_train, x_test, y_test = task.make()
     record = TrainingRecord(mode=model.spec.bn_mode.value, seed=model.spec.seed)
@@ -179,82 +198,72 @@ class TestFlatParameters:
         assert np.array_equal(self.bits(model.theta),
                               self.bits(np.concatenate([p.ravel() for p in ref_params])))
 
-    def test_layer_arrays_are_views(self):
-        model = Mlp(MlpSpec(in_dim=5, hidden=(8, 8), classes=3, bn_mode=BnMode.L1, seed=2))
-        (theta,), (grad,) = model.parameters(), model.gradients()
-        assert theta is model.theta and grad is model.grad
-        params = [p for layer in model.layers for p in layer.parameters()]
-        grads = [g for layer in model.layers for g in layer.gradients()]
-        assert len(params) == len(grads) == 3 * 2 + 2 * 2
-        assert all(np.shares_memory(p, model.theta) for p in params)
-        assert all(np.shares_memory(g, model.grad) for g in grads)
-        assert np.array_equal(np.concatenate([p.ravel() for p in params]), model.theta)
-        assert sum(p.size for p in params) == model.theta.size == model.grad.size
+    @pytest.mark.parametrize("mode", [BnMode.L1, None])
+    def test_views_tile_theta_and_grad(self, mode):
+        # the layers' views cover theta and grad exactly once, in layer order:
+        # numbering every element shows any gap, overlap, copy or size error
+        model = Mlp(MlpSpec(in_dim=5, hidden=(8, 6, 7), classes=3, bn_mode=mode, seed=2))
+        for flat, side in ((model.theta, 0), (model.grad, 1)):
+            views = [a for layer in model.layers for a in layer_arrays(layer)[side]]
+            assert len(views) == 2 * 4 + (2 * 3 if mode is not None else 0)
+            flat[:] = np.arange(flat.size)
+            assert np.array_equal(np.concatenate([a.ravel() for a in views]), flat)
 
     def test_sgd_on_theta_moves_layer_weights(self):
         model = Mlp(sanity_spec(BnMode.L2))
         w0 = model.layers[0].w.copy()
         model.grad[:] = 1.0
-        sgd_update(model.parameters(), model.gradients(), SgdConfig(learning_rate=0.1),
-                   [np.zeros_like(model.theta)])
+        sgd_update(model.theta, model.grad, SgdConfig(), np.zeros_like(model.theta), 0.1)
         assert np.array_equal(model.layers[0].w, w0 - 0.1)
 
     def test_backward_writes_into_grad(self):
         model = Mlp(sanity_spec(BnMode.L1))
-        grad = model.grad
-        _, grads = forward_backward_step(model, Rng(4).normal((16, 5)), np.arange(16) % 2)
-        assert len(grads) == 1 and grads[0] is grad and np.any(grad != 0)
+        _, grad = forward_backward_step(model, Rng(4).normal((16, 5)), np.arange(16) % 2)
+        assert grad is model.grad and np.any(grad != 0)
 
     @pytest.mark.parametrize("mode", [BnMode.L2, None])
     def test_gradients_are_zeros_before_backward(self, mode):
         model = Mlp(sanity_spec(mode))
         for layer in model.layers:
-            grads = layer.gradients()
-            assert [g.shape for g in grads] == [p.shape for p in layer.parameters()]
-            assert all(np.all(g == 0) for g in grads)
-        assert np.all(model.gradients()[0] == 0)
-        for layer in (BnLayer(4, BnMode.L1), DenseLayer(Rng(0), 3, 4)):
-            grads = layer.gradients()
-            assert [g.shape for g in grads] == [p.shape for p in layer.parameters()]
-            assert all(np.all(g == 0) for g in grads)
+            params, grads = layer_arrays(layer)
+            assert [g.shape for g in grads] == [p.shape for p in params]
+        assert np.all(model.grad == 0)
 
 
 class TestSgd:
     def test_zero_momentum_is_plain_step(self):
-        p = [np.array([1.0, 2.0])]
-        g = [np.array([0.5, -0.5])]
-        v = [np.zeros(2)]
-        sgd_update(p, g, SgdConfig(learning_rate=0.1, momentum=0.0), v)
-        assert np.allclose(p[0], [0.95, 2.05])
+        p = np.array([1.0, 2.0])
+        sgd_update(p, np.array([0.5, -0.5]), SgdConfig(momentum=0.0), np.zeros(2), 0.1)
+        assert np.allclose(p, [0.95, 2.05])
 
     def test_two_step_displacement_closed_form(self):
         # constant gradient, momentum 0.9: v1=g, v2=1.9g -> total lr*g*(1+1.9)
         lr, g_val = 0.1, 2.0
-        p = [np.array([0.0])]
-        g = [np.array([g_val])]
-        v = [np.zeros(1)]
-        cfg = SgdConfig(learning_rate=lr, momentum=0.9)
-        sgd_update(p, g, cfg, v)
-        sgd_update(p, [np.array([g_val])], cfg, v)
-        assert p[0][0] == pytest.approx(-lr * g_val * (1 + 1.9), rel=1e-12)
+        p = np.array([0.0])
+        v = np.zeros(1)
+        cfg = SgdConfig(momentum=0.9)
+        sgd_update(p, np.array([g_val]), cfg, v, lr)
+        sgd_update(p, np.array([g_val]), cfg, v, lr)
+        assert p[0] == pytest.approx(-lr * g_val * (1 + 1.9), rel=1e-12)
 
     def test_zero_gradient_momentum_decay_then_freeze(self):
-        cfg = SgdConfig(learning_rate=1.0, momentum=0.5)
-        p = [np.array([0.0])]
-        v = [np.array([1.0])]  # stale momentum
+        cfg = SgdConfig(momentum=0.5)
+        p = np.array([0.0])
+        v = np.array([1.0])  # stale momentum
         moved = []
         for _ in range(30):
-            before = p[0][0]
-            sgd_update(p, [np.zeros(1)], cfg, v)
-            moved.append(abs(p[0][0] - before))
+            before = p[0]
+            sgd_update(p, np.zeros(1), cfg, v, 1.0)
+            moved.append(abs(p[0] - before))
         # geometric decay of the step size, eventually frozen
         assert moved[0] == pytest.approx(0.5)
         assert moved[5] == pytest.approx(0.5 ** 6, rel=1e-9)
         assert moved[-1] < 1e-8
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            sgd_update([np.zeros(2)], [np.zeros(3)], SgdConfig(), [np.zeros(2)])
+        for g, v in ((np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros(1))):
+            with pytest.raises(ValueError):
+                sgd_update(np.zeros(2), g, SgdConfig(), v, 0.1)
 
     def test_lr_schedule(self):
         cfg = SgdConfig(learning_rate=1.0, lr_decay_epochs=(5, 10))
@@ -271,26 +280,21 @@ class TestForwardBackward:
         model = Mlp(spec)
         x = rng.normal((8, 4))
         labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
-        loss, grads = forward_backward_step(model, x, labels)
-        params = model.parameters()
+        _, grad = forward_backward_step(model, x, labels)
 
-        def loss_at(flat_param, target):
-            def f(value):
-                backup = target.copy()
-                target[...] = value
-                logits = model.forward(x, training=True)
-                out, _ = softmax_cross_entropy(logits, labels)
-                target[...] = backup
-                return out
-            return f
+        def loss_at(theta):
+            backup = model.theta.copy()
+            model.theta[:] = theta
+            out, _ = softmax_cross_entropy(model.forward(x, training=True), labels)
+            model.theta[:] = backup
+            return out
 
-        for p, g in zip(params, grads):
-            numeric = finite_diff(each(loss_at(None, p)), p, step=1e-6)
-            rel = relative_errors(g, numeric)
-            # a dense bias feeding straight into BN is a dead parameter (the
-            # batch mean absorbs it): both gradients are ~0, compare absolutely
-            ok = (rel <= 1e-4) | (np.abs(g - numeric) <= 1e-8)
-            assert np.all(ok)
+        numeric = finite_diff(each(loss_at), model.theta, step=1e-6)
+        rel = relative_errors(grad, numeric)
+        # a dense bias feeding straight into BN is a dead parameter (the
+        # batch mean absorbs it): both gradients are ~0, compare absolutely
+        ok = (rel <= 1e-4) | (np.abs(grad - numeric) <= 1e-8)
+        assert np.all(ok)
 
     def test_l1_l2_gradients_same_shapes(self):
         rng = Rng(1)
@@ -300,15 +304,15 @@ class TestForwardBackward:
         for mode in (BnMode.L1, BnMode.L2):
             spec = MlpSpec(in_dim=5, hidden=(8, 8), classes=3, bn_mode=mode, seed=3)
             model = Mlp(spec)
-            _, grads = forward_backward_step(model, x, labels)
-            shapes[mode] = [g.shape for g in grads]
+            _, grad = forward_backward_step(model, x, labels)
+            shapes[mode] = grad.shape
         assert shapes[BnMode.L1] == shapes[BnMode.L2]
         # same seed, different norm: gradients differ numerically
         m1 = Mlp(MlpSpec(in_dim=5, hidden=(8, 8), classes=3, bn_mode=BnMode.L1, seed=3))
         m2 = Mlp(MlpSpec(in_dim=5, hidden=(8, 8), classes=3, bn_mode=BnMode.L2, seed=3))
         _, g1 = forward_backward_step(m1, x, labels)
         _, g2 = forward_backward_step(m2, x, labels)
-        assert any(not np.allclose(a, b) for a, b in zip(g1, g2))
+        assert not np.allclose(g1, g2)
 
     @pytest.mark.parametrize("mode", [BnMode.L1, None])
     def test_first_layer_produces_no_input_gradient(self, mode):
