@@ -14,8 +14,6 @@ from .batchnorm import (
     bn_backward_l1_naive,
     bn_forward_infer,
     bn_forward_train,
-    l1_batch_stats,
-    l2_batch_stats,
     rows,
     update_running_stats,
 )
@@ -27,7 +25,7 @@ from .ratio import (
     gaussian_ratio_trial,
     uniform_ratio_trial,
 )
-from .tensor import Rng, reduce_mean
+from .tensor import Rng
 from .trainer import (
     Mlp,
     MlpSpec,

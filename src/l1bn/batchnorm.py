@@ -152,7 +152,6 @@ class BnCache:
     sigma_b: np.ndarray
     x_hat: np.ndarray
     mode: BnMode
-    epsilon: float
     denom: np.ndarray  # per-feature sqrt(σ_B²+ε) (L2) or σ_B+ε (L1): no root in backward
 
 
@@ -242,7 +241,7 @@ def bn_forward_train(x: np.ndarray, params: BnParams) -> tuple[np.ndarray, BnCac
     else:
         y = x_hat
     cache = BnCache(mu_b=mu, sigma_b=sigma, x_hat=x_hat.reshape(x.shape), mode=params.mode,
-                    epsilon=params.epsilon, denom=denom)
+                    denom=denom)
     return y.reshape(x.shape), cache
 
 
@@ -297,7 +296,7 @@ def bn_backward_l1_naive(d_y: np.ndarray, cache: BnCache, params: BnParams) -> G
     g = dy * params.gamma if params.use_affine else dy
     m = len(g)
     comp = _compensation(cache.mode)
-    denom = cache.sigma_b + cache.epsilon
+    denom = cache.denom  # σ+ε, as the forward stored it
     s = sign(x_hat)  # sgn(x̂) == sgn(x - μ) since σ+ε > 0
     # (x - μ)/(σ+ε)² = x̂/(σ+ε).
     d_sigma = -reduce_sum(g * x_hat, 0) / denom

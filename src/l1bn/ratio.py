@@ -10,6 +10,7 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ DEFAULT_BAND_HALF_WIDTH = 0.01
 
 
 class StatisticsError(ValueError):
-    """Pooled sample count too small, or a channel with zero deviation: no meaningful ratio."""
+    """Too few pooled samples, or a channel whose deviation is zero or not finite: no ratio."""
 
 
 @dataclass
@@ -79,11 +80,17 @@ class RatioReport:
 
 
 def _report(x: np.ndarray, band_half_width: float) -> RatioReport:
-    sigma_l2 = batch_deviation(x, BnMode.L2)
-    sigma_l1 = batch_deviation(x, BnMode.L1)
-    constant = np.flatnonzero((sigma_l2 == 0) | (sigma_l1 == 0))
-    if constant.size:
-        raise StatisticsError(f"channel {constant[0]} has zero deviation; its ratio is undefined")
+    if not 0 <= band_half_width < math.inf:
+        raise DomainError(f"band half-width must be finite and >= 0, got {band_half_width}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation raises below
+        sigma_l2 = batch_deviation(x, BnMode.L2)
+        sigma_l1 = batch_deviation(x, BnMode.L1)
+    finite = np.isfinite(sigma_l2) & np.isfinite(sigma_l1)
+    undefined = np.flatnonzero(~finite | (sigma_l2 == 0) | (sigma_l1 == 0))
+    if undefined.size:
+        k = undefined[0]
+        what = "zero deviation" if finite[k] else "a non-finite deviation"
+        raise StatisticsError(f"channel {k} has {what}; its ratio is undefined")
     ratios = sigma_l2 / sigma_l1
     mean_ratio = float(np.mean(ratios))
     gap = mean_ratio - GAUSSIAN_STD_OVER_MAD

@@ -55,7 +55,7 @@ def l2_backward_reference(d_y, cache, params):
     g = d_y * params.gamma if params.use_affine else d_y
     axes = tuple(range(g.ndim - 1))  # every axis but the last
     m = math.prod(g.shape[:-1])
-    var_eps = cache.sigma_b * cache.sigma_b + cache.epsilon
+    var_eps = cache.sigma_b * cache.sigma_b + params.epsilon
     denom = np.sqrt(var_eps)
     # (x - μ) = x̂·denom, so g·(x-μ)·(σ²+ε)^(-3/2) = g·x̂/(σ²+ε).
     d_var = -0.5 * np.sum(g * cache.x_hat, axis=axes) / var_eps

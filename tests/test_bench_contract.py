@@ -1,9 +1,10 @@
 """The l1bn names the benchmark under perfbench/ depends on.
 
 ``perfbench/tracer.py`` wraps every name in its ``SPANS`` table by looking it up
-in its owner's ``__dict__``, and the parity workload unpacks the CLI's parity
-preset.  Deleting or renaming one of these fails here, not later as a KeyError
-under ``python3 perfbench/run.py --trace 1``.
+in its owner's ``__dict__``, the parity workload unpacks the CLI's parity
+preset, and the validate workload costs ``scripts/sample.arch``.  Deleting or
+renaming one of these fails here, not later as a KeyError under
+``python3 perfbench/run.py --trace 1``.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from l1bn import cli, gradcheck, trainer
+from l1bn import cli, costmodel, gradcheck, trainer
 from l1bn.batchnorm import BnMode
 from l1bn.trainer import MlpSpec, SgdConfig, SyntheticTask
 
@@ -46,6 +47,12 @@ def test_every_traced_name_exists():
             if owner is None or leaf not in vars(owner):
                 missing.append(f"l1bn.{module_name}.{attr}")
     assert spans and not missing
+
+
+def test_validate_arch_file_parses():
+    # run.py exits 2 before any workload when this file is missing
+    layers = costmodel.parse_architecture(perfbench_module("run").ARCH)
+    assert [layer.name for layer in layers] == ["conv1", "conv2", "fc1"]
 
 
 def test_parity_preset_unpacks():

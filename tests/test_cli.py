@@ -373,6 +373,9 @@ class TestOutputFiles:
         assert csv_bytes == (here / "layers.csv").read_bytes()
 
 
+NON_FINITE = "ratio: channel 0 has a non-finite deviation; its ratio is undefined"
+
+
 class TestOneLineErrors:
     """Failing input ends the process with exit 1 and one stderr line, with no
     numpy warning before it."""
@@ -383,7 +386,13 @@ class TestOneLineErrors:
         (["ratio", "--channel-map", "--sigma", "0"],
          "ratio: channel 0 has zero deviation; its ratio is undefined"),
         (["cost", "--arch", "{empty}"], "cost: {empty}: no layers"),
-    ], ids=["gradcheck-overflow", "ratio-constant-channel", "cost-no-layers"])
+        (["ratio", "--mu", "inf"], NON_FINITE),
+        (["ratio", "--mu", "nan"], NON_FINITE),
+        (["ratio", "--sigma", "inf"], NON_FINITE),
+        (["ratio", "--channel-map", "--mu", "nan"], NON_FINITE),
+        (["ratio", "--band", "-1"], "ratio: band half-width must be finite and >= 0, got -1.0"),
+    ], ids=["gradcheck-overflow", "ratio-constant-channel", "cost-no-layers", "ratio-mu-inf",
+            "ratio-mu-nan", "ratio-sigma-inf", "ratio-channel-map-mu-nan", "ratio-negative-band"])
     def test_exit_one_with_one_stderr_line(self, tmp_path, argv, line):
         empty = write_arch(tmp_path, "empty.arch", ["# no layers here"])
         proc = subprocess.run(

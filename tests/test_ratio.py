@@ -51,6 +51,32 @@ class TestGaussianTrial:
         with pytest.raises(DomainError):
             gaussian_ratio_trial(1000, sigma=0.0)
 
+    @pytest.mark.parametrize("mu, sigma", [(np.inf, 1.0), (np.nan, 1.0), (0.0, np.inf)])
+    def test_non_finite_parameters_rejected(self, mu, sigma):
+        with pytest.raises(StatisticsError, match="non-finite deviation"):
+            gaussian_ratio_trial(1000, mu, sigma)
+
+
+class TestBand:
+    TRIALS = {
+        "gaussian": lambda band: gaussian_ratio_trial(1000, band_half_width=band),
+        "uniform": lambda band: uniform_ratio_trial(1000, band_half_width=band),
+        "channel-map": lambda band: channelwise_ratio_map(Rng(0).normal((200, 2)),
+                                                          band_half_width=band),
+    }
+
+    @pytest.mark.parametrize("trial", TRIALS)
+    @pytest.mark.parametrize("band", [-1.0, -1e-300, np.nan, np.inf])
+    def test_negative_or_non_finite_band_rejected(self, trial, band):
+        with pytest.raises(DomainError, match="band half-width"):
+            self.TRIALS[trial](band)
+
+    @pytest.mark.parametrize("trial", TRIALS)
+    def test_zero_band_accepted(self, trial):
+        report = self.TRIALS[trial](0.0)
+        assert report.band_half_width == 0.0
+        assert report.in_gaussian_band == (report.gaussian_gap == 0.0)
+
 
 class TestUniformControl:
     def test_lands_on_closed_form_and_outside_band(self):
@@ -92,6 +118,33 @@ class TestChannelwiseMap:
         x[:, 3] = 0.0
         # a 0/0 or log10(0) would raise FloatingPointError here, not StatisticsError
         with np.errstate(all="raise"), pytest.raises(StatisticsError, match="^channel 2 "):
+            channelwise_ratio_map(x)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_channel_rejected_before_any_division(self, value):
+        x = Rng(0).normal((200, 4))
+        x[5, 1] = value
+        x[7, 3] = value
+        # a division by the deviation or log10 of it would raise FloatingPointError here
+        with np.errstate(all="raise"), pytest.raises(
+                StatisticsError, match="^channel 1 has a non-finite deviation; "):
+            channelwise_ratio_map(x)
+
+    def test_overflowing_variance_is_a_non_finite_deviation(self):
+        # the squares overflow while the mean absolute deviation stays finite
+        x = Rng(0).normal((200, 2)) * 1e200
+        assert np.isfinite(batch_deviation(x, BnMode.L1)).all()
+        with np.errstate(all="raise"), pytest.raises(StatisticsError, match="^channel 0 "):
+            channelwise_ratio_map(x)
+
+    def test_lowest_undefined_channel_named(self):
+        x = Rng(0).normal((200, 4))
+        x[:, 1] = 7.0
+        x[0, 0] = np.nan
+        with pytest.raises(StatisticsError, match="^channel 0 has a non-finite deviation"):
+            channelwise_ratio_map(x)
+        x[0, 0] = 0.0
+        with pytest.raises(StatisticsError, match="^channel 1 has zero deviation"):
             channelwise_ratio_map(x)
 
     def test_mlp_activation_ratios_observational(self):
