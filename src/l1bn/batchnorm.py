@@ -186,22 +186,21 @@ def l2_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, np.einsum("ij,ij->j", centred, centred) / len(centred)
 
 
-def l1_batch_stats(x: np.ndarray, compensate: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled mean and mean absolute deviation, optionally scaled by sqrt(π/2)."""
+def l1_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled mean and mean absolute deviation."""
     mu, centred = _centre(rows(np.asarray(x, dtype=np.float64)))
-    sigma = _mean_rows(np.abs(centred, out=centred))
-    return mu, sigma * GAUSSIAN_STD_OVER_MAD if compensate else sigma
+    return mu, _mean_rows(np.abs(centred, out=centred))
+
+
+def _compensation(mode: BnMode) -> float:
+    return GAUSSIAN_STD_OVER_MAD if mode is BnMode.L1_COMPENSATED else 1.0
 
 
 def batch_deviation(x: np.ndarray, mode: BnMode) -> np.ndarray:
     """Per-feature deviation of ``x`` in the metric the mode normalizes to 1."""
     if mode is BnMode.L2:
         return np.sqrt(l2_batch_stats(x)[1])
-    return l1_batch_stats(x, compensate=(mode is BnMode.L1_COMPENSATED))[1]
-
-
-def _compensation(mode: BnMode) -> float:
-    return GAUSSIAN_STD_OVER_MAD if mode is BnMode.L1_COMPENSATED else 1.0
+    return l1_batch_stats(x)[1] * _compensation(mode)
 
 
 def _checked_rows(x: np.ndarray, params: BnParams) -> np.ndarray:
@@ -249,7 +248,14 @@ def bn_backward(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle
     """The one backward of the module docstring, for every mode: the cache carries
     the mode.  Σ d_y and Σ d_y·x̂ are taken once each: they give μ(g) and μ(g·x̂),
     and are d_beta and d_gamma.  For L1 it is algebraically identical to
-    ``bn_backward_l1_naive``, in the signum form that makes the op count explicit."""
+    ``bn_backward_l1_naive``, in the signum form that makes the op count explicit.
+
+    A constant channel, whose pooled mean equals its one value, has x̂ = 0,
+    σ_B = 0, y = β and d_gamma = 0.  With ḡ the pooled mean of the upstream g,
+    its input gradient is γ(g - ḡ)/ε for L1 and L1c but γ(g - ḡ)/sqrt(ε) for L2,
+    a gain of 1e5 against 316 at ε = 1e-5.  ε enters L1's denominator linearly
+    and L2's under the root, so the sqrt(π/2) equivalence of the modes needs
+    σ ≫ sqrt(ε).  A tie, x̂ = 0 on some rows only, takes sgn(0) = 0."""
     d_y = _check_upstream(d_y, cache)
     dy, x_hat = rows(d_y), rows(cache.x_hat)
     sum_dy, sum_dy_xhat = dy.sum(axis=0), np.einsum("ij,ij->j", dy, x_hat)
@@ -299,13 +305,13 @@ def bn_backward_l1_naive(d_y: np.ndarray, cache: BnCache, params: BnParams) -> G
     denom = cache.denom  # σ+ε, as the forward stored it
     s = sign(x_hat)  # sgn(x̂) == sgn(x - μ) since σ+ε > 0
     # (x - μ)/(σ+ε)² = x̂/(σ+ε).
-    d_sigma = -reduce_sum(g * x_hat, 0) / denom
-    mean_s = reduce_mean(s, 0)
-    d_mu = -reduce_sum(g, 0) / denom - d_sigma * comp * mean_s
+    d_sigma = -reduce_sum(g * x_hat) / denom
+    mean_s = reduce_mean(s)
+    d_mu = -reduce_sum(g) / denom - d_sigma * comp * mean_s
     d_input = (d_sigma * (comp / m) * s + g / denom + d_mu / m).reshape(d_y.shape)
     if not params.use_affine:
         return GradBundle(d_input, np.zeros(params.num_features), np.zeros(params.num_features))
-    return GradBundle(d_input, reduce_sum(dy * x_hat, 0), reduce_sum(dy, 0))
+    return GradBundle(d_input, reduce_sum(dy * x_hat), reduce_sum(dy))
 
 
 def update_running_stats(state: BnState, mu_b: np.ndarray,
@@ -313,7 +319,8 @@ def update_running_stats(state: BnState, mu_b: np.ndarray,
     """μ ← αμ + (1-α)μ_B and σ ← ασ + (1-α)σ_B, in place; returns ``state`` itself.
 
     The shapes are checked before anything is written, so a mismatch leaves
-    the state as it was.
+    the state as it was.  A NaN batch statistic stays in its feature's running
+    state for good; the trainer's non-finite-loss check is what stops a run.
     """
     mu_b = np.asarray(mu_b, dtype=np.float64)
     sigma_b = np.asarray(sigma_b, dtype=np.float64)

@@ -33,6 +33,8 @@ from .tensor import Rng
 
 REL_ERR_FLOOR = 1e-8  # denominator floor: avoids blowup where both gradients ~ 0
 _CHUNK_VALUES = 1 << 18  # probe values per call of the loss: 2 MB of float64
+TIE_MARGIN = 1e-3
+MAX_RESAMPLES = 100
 
 
 class EvaluationError(ValueError):
@@ -132,18 +134,17 @@ class GradReport:
         }
 
 
-def draw_inputs(mode: BnMode, shape, rng: Rng, tie_margin: float = 1e-3,
-                max_resamples: int = 100) -> np.ndarray:
-    """Sample a standard-normal batch; for L1 modes resample until every element
-    sits at least ``tie_margin`` away from its pooled mean (|x-μ| is not
-    differentiable at the tie)."""
-    for _ in range(max_resamples):
+def draw_inputs(mode: BnMode, shape, rng: Rng) -> np.ndarray:
+    """Sample a standard-normal batch; for L1 modes resample, up to
+    ``MAX_RESAMPLES`` draws, until every element sits more than ``TIE_MARGIN``
+    away from its pooled mean (|x-μ| is not differentiable at the tie)."""
+    for _ in range(MAX_RESAMPLES):
         x = rng.normal(shape)
         x_rows = rows(x)
-        if mode is BnMode.L2 or np.min(np.abs(x_rows - x_rows.mean(axis=0))) > tie_margin:
+        if mode is BnMode.L2 or np.min(np.abs(x_rows - x_rows.mean(axis=0))) > TIE_MARGIN:
             return x
     raise DegenerateInputError(
-        f"no tie-free batch of shape {tuple(shape)} in {max_resamples} draws"
+        f"no tie-free batch of shape {tuple(shape)} in {MAX_RESAMPLES} draws"
     )
 
 

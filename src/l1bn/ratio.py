@@ -34,8 +34,8 @@ class Histogram:
     bin_edges_log10: list[float]
 
     @classmethod
-    def of(cls, values: np.ndarray, bins: int = HISTOGRAM_BINS) -> "Histogram":
-        counts, edges = np.histogram(np.log10(values), bins=bins)
+    def of(cls, values: np.ndarray) -> "Histogram":
+        counts, edges = np.histogram(np.log10(values), bins=HISTOGRAM_BINS)
         return cls(counts=[int(c) for c in counts],
                    bin_edges_log10=[float(e) for e in edges])
 
@@ -120,15 +120,12 @@ def gaussian_ratio_trial(n: int, mu: float = 0.0, sigma: float = 1.0,
     return _report(x, band_half_width)
 
 
-def uniform_ratio_trial(n: int, low: float = -1.0, high: float = 1.0,
-                        seed: int = 0,
+def uniform_ratio_trial(n: int, seed: int = 0,
                         band_half_width: float = DEFAULT_BAND_HALF_WIDTH) -> RatioReport:
-    """Non-Gaussian control: uniform inputs land at ratio 2/sqrt(3) ≈ 1.1547."""
+    """Non-Gaussian control: inputs uniform on [-1, 1) land at ratio 2/sqrt(3) ≈ 1.1547."""
     if n < 100:
         raise StatisticsError(f"need at least 100 samples, got {n}")
-    if high <= low:
-        raise DomainError(f"empty interval [{low}, {high})")
-    x = Rng(seed).uniform((n, 1), low, high)
+    x = Rng(seed).uniform((n, 1), -1.0, 1.0)
     return _report(x, band_half_width)
 
 

@@ -1,4 +1,4 @@
-"""Float64 tensor helpers: seeded RNG, checked axis reductions and signum.
+"""Float64 tensor helpers: seeded RNG, column reductions and signum.
 
 The reductions serve the term-by-term L1 backward kept as the gradient oracle,
 and ``sign`` both L1 backward forms.  They are pure, and numpy's pairwise
@@ -13,7 +13,7 @@ import numpy as np
 
 
 class ShapeError(ValueError):
-    """Operand shapes or reduction axes are inconsistent."""
+    """Operand shapes are inconsistent."""
 
 
 class DomainError(ValueError):
@@ -44,32 +44,16 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def check_axes(ndim: int, axes) -> tuple[int, ...]:
-    """Validate a reduction axis-set against a tensor rank."""
-    if isinstance(axes, (int, np.integer)):
-        axes = (int(axes),)
-    axes = tuple(int(a) for a in axes)
-    seen = set()
-    for ax in axes:
-        if not 0 <= ax < ndim:
-            raise ShapeError(f"axis {ax} invalid for rank-{ndim} tensor")
-        if ax in seen:
-            raise ShapeError(f"axis {ax} given twice")
-        seen.add(ax)
-    return axes
+def reduce_mean(rows: np.ndarray) -> np.ndarray:
+    """Column means of an (N, c) rows view."""
+    return np.mean(rows, axis=0)
 
 
-def reduce_mean(t: np.ndarray, axes) -> np.ndarray:
-    """Arithmetic mean over ``axes``; reduced axes are removed from the shape."""
-    axes = check_axes(t.ndim, axes)
-    return np.mean(t, axis=axes)
+def reduce_sum(rows: np.ndarray) -> np.ndarray:
+    """Column sums of an (N, c) rows view."""
+    return np.sum(rows, axis=0)
 
 
-def reduce_sum(t: np.ndarray, axes) -> np.ndarray:
-    axes = check_axes(t.ndim, axes)
-    return np.sum(t, axis=axes)
-
-
-def sign(x) -> np.ndarray:
+def sign(x: np.ndarray) -> np.ndarray:
     """Signum with sign(0) = 0, the symmetric subgradient choice for |x| at 0."""
-    return np.sign(np.asarray(x, dtype=np.float64))
+    return np.sign(x)

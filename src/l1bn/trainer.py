@@ -26,6 +26,7 @@ from .batchnorm import (
 from .tensor import Rng
 
 LR_DECAY_FACTOR = 0.1  # learning-rate multiplier at each of SgdConfig.lr_decay_epochs
+MOMENTUM = 0.9
 
 
 class DivergenceError(RuntimeError):
@@ -35,7 +36,6 @@ class DivergenceError(RuntimeError):
 @dataclass
 class SgdConfig:
     learning_rate: float = 0.1
-    momentum: float = 0.9
     batch_size: int = 128
     epochs: int = 20
     lr_decay_epochs: tuple[int, ...] = ()
@@ -43,8 +43,6 @@ class SgdConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
 
     def lr_at(self, epoch: int) -> float:
         decays = sum(1 for e in self.lr_decay_epochs if epoch >= e)
@@ -253,13 +251,13 @@ def forward_backward_step(model: Mlp, batch: np.ndarray,
     return loss, model.grad
 
 
-def sgd_update(theta: np.ndarray, grad: np.ndarray, config: SgdConfig,
-               velocity: np.ndarray, lr: float) -> np.ndarray:
-    """v ← momentum·v + g; θ ← θ - lr·v.  Updates in place and returns theta."""
+def sgd_update(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
+               lr: float) -> np.ndarray:
+    """v ← MOMENTUM·v + g; θ ← θ - lr·v.  Updates in place and returns theta."""
     if not theta.shape == grad.shape == velocity.shape:
         raise ValueError(f"theta/grad/velocity shape mismatch: "
                          f"{theta.shape}, {grad.shape}, {velocity.shape}")
-    velocity *= config.momentum
+    velocity *= MOMENTUM
     velocity += grad
     theta -= lr * velocity
     return theta
@@ -314,7 +312,7 @@ def train(model: Mlp, task: SyntheticTask, config: SgdConfig) -> TrainingRecord:
                     if idx.size < 2:  # batch statistics need at least two samples
                         continue
                     loss, grad = forward_backward_step(model, x_train[idx], y_train[idx])
-                    sgd_update(model.theta, grad, config, velocity, lr)
+                    sgd_update(model.theta, grad, velocity, lr)
                     losses.append(loss * idx.size)
                 # epoch metrics from full passes: for the parity preset about
                 # 0.22 s of a 1.4 s two-run round (perfbench trainer.eval.self_s,

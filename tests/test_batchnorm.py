@@ -155,7 +155,7 @@ class TestBatchStats:
         assert sigma[0] == expected == 1.5
 
     def test_l1_compensated_two_point(self):
-        _, sigma = l1_batch_stats(two_point(), compensate=True)
+        sigma = batch_deviation(two_point(), BnMode.L1_COMPENSATED)
         assert sigma[0] == pytest.approx(math.sqrt(math.pi / 2), abs=1e-12)
 
     def test_batch_too_small(self):
@@ -395,6 +395,70 @@ class TestSharedBackward:
             assert normwise_gap(got.d_beta, d_beta) <= 1e-12
         else:
             assert np.all(got.d_gamma == 0) and np.all(got.d_beta == 0)
+
+
+class TestDegenerateInputs:
+    """The constant-channel and tie policies of ``bn_backward``'s docstring and the
+    NaN policy of ``update_running_stats``'s."""
+
+    @pytest.mark.parametrize("shape", [(8, 3), (2, 2, 2, 3)])
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_constant_channel(self, mode, shape):
+        # every value of channel 1 is 3.0 and the pooled mean of 8 of them is exact
+        rng = Rng(0)
+        x = rng.normal(shape)
+        x[..., 1] = 3.0
+        params = BnParams(gamma=np.array([1.0, 1.5, 2.0]), beta=np.array([0.1, 0.2, 0.3]),
+                          mode=mode)
+        y, cache = bn_forward_train(x, params)
+        d_y = rng.normal(shape)
+        grads = bn_backward(d_y, cache, params)
+        assert np.all(rows(cache.x_hat)[:, 1] == 0.0) and cache.sigma_b[1] == 0.0
+        assert np.all(rows(y)[:, 1] == 0.2) and grads.d_gamma[1] == 0.0
+        g = rows(d_y)[:, 1]
+        centred = 1.5 * (g - g.mean())
+        got = rows(grads.d_input)[:, 1]
+        gain = 316.2278 if mode is BnMode.L2 else 100000.0  # 1/sqrt(ε) against 1/ε
+        assert np.linalg.norm(got) / np.linalg.norm(centred) == pytest.approx(gain, rel=1e-6)
+        denom = math.sqrt(params.epsilon) if mode is BnMode.L2 else params.epsilon
+        assert normwise_gap(got, centred / denom) <= 1e-15
+
+    @pytest.mark.parametrize("mode", [BnMode.L1, BnMode.L1_COMPENSATED])
+    def test_tie_at_the_mean(self, mode):
+        # column 0 has μ = 2 exactly, so row 1 sits on the |x - μ| kink, where sgn = 0
+        rng = Rng(3)
+        x = np.column_stack([[1.0, 2.0, 3.0, 6.0, -2.0], rng.normal((5,))])
+        params = BnParams(gamma=np.array([1.2, 0.8]), beta=np.zeros(2), mode=mode)
+        _, cache = bn_forward_train(x, params)
+        d_y = rng.normal((5, 2))
+        fused = bn_backward(d_y, cache, params)
+        naive = bn_backward_l1_naive(d_y, cache, params)
+        assert cache.x_hat[1, 0] == 0.0
+        scale = np.abs(fused.d_input[:, 0]).max()
+        assert np.abs(fused.d_input - naive.d_input).max() <= 4e-16 * scale
+        for grads in (fused, naive):
+            assert abs(grads.d_input[:, 0].sum()) <= 4e-16 * scale
+        assert np.array_equal(fused.d_gamma, naive.d_gamma)
+        assert np.array_equal(fused.d_beta, naive.d_beta)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_nan_stays_in_its_channel(self, mode):
+        x = Rng(5).normal((8, 3))
+        x[3, 2] = np.nan
+        params = BnParams.init(3, mode=mode)
+        state = BnState.init(3)
+        y, cache = bn_forward_train(x, params)
+        update_running_stats(state, cache.mu_b, cache.sigma_b)
+        assert np.all(np.isfinite(y[:, :2])) and np.all(np.isnan(y[:, 2]))
+        clean = Rng(6).normal((8, 3))
+        for _ in range(3):  # the moving average keeps the NaN
+            _, cache = bn_forward_train(clean, params)
+            update_running_stats(state, cache.mu_b, cache.sigma_b)
+        for running in (state.running_mu, state.running_sigma):
+            assert np.all(np.isfinite(running[:2])) and np.isnan(running[2])
+        for batch in (x, clean):
+            out = bn_forward_infer(batch, params, state)
+            assert np.all(np.isfinite(out[:, :2])) and np.all(np.isnan(out[:, 2]))
 
 
 class TestRunningStats:

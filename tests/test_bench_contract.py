@@ -13,8 +13,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from l1bn import cli, costmodel, gradcheck, trainer
-from l1bn.batchnorm import BnMode
+import numpy as np
+
+from l1bn import batchnorm, cli, costmodel, gradcheck, tensor, trainer
+from l1bn.batchnorm import BnMode, BnParams
 from l1bn.trainer import MlpSpec, SgdConfig, SyntheticTask
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -104,3 +106,49 @@ def test_validate_round_probe_count(monkeypatch):
             gradcheck.check_layer(mode, shape, seed=seed)
     assert len(sizes) == 3 * len(cases)
     assert 2 * sum(sizes) == 8166
+
+
+def count_calls(monkeypatch, calls: Counter, module, name: str) -> None:
+    """Count calls of ``module.name`` in ``calls[name]``, through every l1bn namespace
+    that holds the function, as the tracer wraps it."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for key, namespace in list(sys.modules.items()):
+        if key == "l1bn" or key.startswith("l1bn."):
+            for attr, value in list(vars(namespace).items()):
+                if value is original:
+                    monkeypatch.setattr(namespace, attr, wrapper)
+
+
+def test_traced_names_stay_live(monkeypatch):
+    # a traced name the library no longer calls would be a dead shim whose span
+    # reads zero: tensor.reduce is 200 calls a validate round, the 5 of each of
+    # the 40 naive L1 backwards its gradchecks run
+    calls = Counter()
+    for module, name in ((tensor, "reduce_mean"), (tensor, "reduce_sum"), (tensor, "sign"),
+                         (batchnorm, "l1_batch_stats"), (batchnorm, "l2_batch_stats")):
+        count_calls(monkeypatch, calls, module, name)
+    cases = perfbench_module("workloads").GRAD_CASES
+    for shape, seed in cases:
+        for mode in BnMode:
+            gradcheck.check_layer(mode, shape, seed=seed)
+    assert calls["reduce_mean"] + calls["reduce_sum"] == 200
+    shape, seed = cases[0]
+    x = np.random.default_rng(seed).normal(size=shape)
+    for mode in BnMode:
+        params = BnParams(np.ones(shape[-1]), np.zeros(shape[-1]), mode=mode)
+        _, cache = batchnorm.bn_forward_train(x, params)
+        backwards = [batchnorm.bn_backward]
+        if mode is not BnMode.L2:
+            backwards.append(batchnorm.bn_backward_l1_naive)
+        for backward in backwards:
+            calls.clear()
+            backward(x, cache, params)
+            assert calls["sign"] == (mode is not BnMode.L2)
+        calls.clear()
+        batchnorm.batch_deviation(x, mode)
+        assert calls == Counter({"l2_batch_stats" if mode is BnMode.L2 else "l1_batch_stats": 1})

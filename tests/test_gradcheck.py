@@ -113,14 +113,25 @@ class TestCheckLayer:
             assert max(e_full, e_half) <= 1e-5
 
     def test_tie_avoidance_resampling(self):
-        x = draw_inputs(BnMode.L1, (8, 3), Rng(0), tie_margin=1e-3)
+        x = draw_inputs(BnMode.L1, (8, 3), Rng(0))
         mu = x.mean(axis=0)
-        assert np.abs(x - mu).min() > 1e-3
+        assert np.abs(x - mu).min() > gradcheck.TIE_MARGIN == 1e-3
 
     def test_degenerate_input_error(self):
-        # an impossible margin exhausts the retry cap
-        with pytest.raises(DegenerateInputError):
-            draw_inputs(BnMode.L1, (8, 3), Rng(0), tie_margin=10.0, max_resamples=5)
+        # a source whose every draw is a constant batch ties each element with
+        # its mean, so every draw up to the retry cap is rejected
+        class ConstantRng(Rng):
+            draws = 0
+
+            def normal(self, shape, mu=0.0, sigma=1.0):
+                self.draws += 1
+                return np.full(shape, 0.5)
+
+        rng = ConstantRng(0)
+        with pytest.raises(DegenerateInputError, match="in 100 draws"):
+            draw_inputs(BnMode.L1, (8, 3), rng)
+        assert rng.draws == gradcheck.MAX_RESAMPLES == 100
+        assert np.all(draw_inputs(BnMode.L2, (8, 3), rng) == 0.5)  # L2 has no kink
 
     def test_pooled_count_too_small(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from l1bn.trainer import (
     BnLayer,
     DenseLayer,
     DivergenceError,
+    MOMENTUM,
     Mlp,
     MlpSpec,
     ReluLayer,
@@ -167,7 +168,7 @@ def reference_train(model, task, config):
                 else:
                     d = layer.backward(d)
             for p, g, v in zip(params, grads, velocities):
-                v *= config.momentum
+                v *= MOMENTUM
                 v += g
                 p -= lr * v
             losses.append(loss * idx.size)
@@ -213,7 +214,7 @@ class TestFlatParameters:
         model = Mlp(sanity_spec(BnMode.L2))
         w0 = model.layers[0].w.copy()
         model.grad[:] = 1.0
-        sgd_update(model.theta, model.grad, SgdConfig(), np.zeros_like(model.theta), 0.1)
+        sgd_update(model.theta, model.grad, np.zeros_like(model.theta), 0.1)
         assert np.array_equal(model.layers[0].w, w0 - 0.1)
 
     def test_backward_writes_into_grad(self):
@@ -231,39 +232,39 @@ class TestFlatParameters:
 
 
 class TestSgd:
-    def test_zero_momentum_is_plain_step(self):
+    def test_first_step_from_rest_is_plain_step(self):
+        # zero velocity: v1 = g, so the first step is θ - lr·g whatever the momentum
         p = np.array([1.0, 2.0])
-        sgd_update(p, np.array([0.5, -0.5]), SgdConfig(momentum=0.0), np.zeros(2), 0.1)
+        sgd_update(p, np.array([0.5, -0.5]), np.zeros(2), 0.1)
         assert np.allclose(p, [0.95, 2.05])
 
     def test_two_step_displacement_closed_form(self):
         # constant gradient, momentum 0.9: v1=g, v2=1.9g -> total lr*g*(1+1.9)
+        assert MOMENTUM == 0.9
         lr, g_val = 0.1, 2.0
         p = np.array([0.0])
         v = np.zeros(1)
-        cfg = SgdConfig(momentum=0.9)
-        sgd_update(p, np.array([g_val]), cfg, v, lr)
-        sgd_update(p, np.array([g_val]), cfg, v, lr)
+        sgd_update(p, np.array([g_val]), v, lr)
+        sgd_update(p, np.array([g_val]), v, lr)
         assert p[0] == pytest.approx(-lr * g_val * (1 + 1.9), rel=1e-12)
 
     def test_zero_gradient_momentum_decay_then_freeze(self):
-        cfg = SgdConfig(momentum=0.5)
         p = np.array([0.0])
         v = np.array([1.0])  # stale momentum
         moved = []
-        for _ in range(30):
+        for _ in range(200):
             before = p[0]
-            sgd_update(p, np.zeros(1), cfg, v, 1.0)
+            sgd_update(p, np.zeros(1), v, 1.0)
             moved.append(abs(p[0] - before))
         # geometric decay of the step size, eventually frozen
-        assert moved[0] == pytest.approx(0.5)
-        assert moved[5] == pytest.approx(0.5 ** 6, rel=1e-9)
+        assert moved[0] == pytest.approx(MOMENTUM)
+        assert moved[5] == pytest.approx(MOMENTUM ** 6, rel=1e-9)
         assert moved[-1] < 1e-8
 
     def test_shape_mismatch(self):
         for g, v in ((np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros(1))):
             with pytest.raises(ValueError):
-                sgd_update(np.zeros(2), g, SgdConfig(), v, 0.1)
+                sgd_update(np.zeros(2), g, v, 0.1)
 
     def test_lr_schedule(self):
         cfg = SgdConfig(learning_rate=1.0, lr_decay_epochs=(5, 10))
@@ -449,5 +450,3 @@ class TestSpecValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SgdConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            SgdConfig(momentum=1.0)
