@@ -250,12 +250,20 @@ def bn_backward(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle
     and are d_beta and d_gamma.  For L1 it is algebraically identical to
     ``bn_backward_l1_naive``, in the signum form that makes the op count explicit.
 
-    A constant channel, whose pooled mean equals its one value, has x̂ = 0,
-    σ_B = 0, y = β and d_gamma = 0.  With ḡ the pooled mean of the upstream g,
-    its input gradient is γ(g - ḡ)/ε for L1 and L1c but γ(g - ḡ)/sqrt(ε) for L2,
-    a gain of 1e5 against 316 at ε = 1e-5.  ε enters L1's denominator linearly
-    and L2's under the root, so the sqrt(π/2) equivalence of the modes needs
-    σ ≫ sqrt(ε).  A tie, x̂ = 0 on some rows only, takes sgn(0) = 0."""
+    A constant channel of value v has d = v - μ_B on every row, and with k the
+    compensation constant x̂ = d/(k|d| + ε) for L1 and L1c, d/sqrt(d² + ε) for
+    L2.  Only when the pooled mean rounds to v itself is d = 0, and so x̂ = 0,
+    σ_B = 0, y = β and d_gamma = 0; eight rows of 0.1 leave d = 1.4e-17 and
+    x̂ = 1.4e-12 (L1) or 4.4e-15 (L2).  With ḡ the pooled mean of the upstream
+    g, the input gradient is γ(g - ḡ)/(k|d| + ε) for L1 and L1c but
+    γ(g - ḡ)/sqrt(d² + ε) for L2, a gain of 1e5 against 316 at ε = 1e-5.  ε
+    enters L1's denominator linearly and L2's under the root, so the sqrt(π/2)
+    equivalence of the modes needs σ ≫ sqrt(ε).  A pooled batch of 2 sits ±h
+    from its mean, h = |x1 - x2|/2: x̂ = ±h/(kh + ε) or ±h/sqrt(h² + ε), and
+    the input gradient is ±γ(g1 - g2)(ε/2)/(kh + ε)² or
+    ±γ(g1 - g2)(ε/2)/(h² + ε)^(3/2), + on the first row: the deviation term
+    cancels all but an ε/(kh + ε) or ε/(h² + ε) share of γ(g1 - g2)/2.  A tie,
+    x̂ = 0 on some rows only, takes sgn(0) = 0."""
     d_y = _check_upstream(d_y, cache)
     dy, x_hat = rows(d_y), rows(cache.x_hat)
     sum_dy, sum_dy_xhat = dy.sum(axis=0), np.einsum("ij,ij->j", dy, x_hat)

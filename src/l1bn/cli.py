@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .batchnorm import BnMode
-from .costmodel import ArchParseError, OpCosts, model_report, parse_architecture
+from .costmodel import OpCosts, model_report, parse_architecture
 from .gradcheck import check_layer
 from .ratio import channelwise_ratio_map, gaussian_ratio_trial, uniform_ratio_trial
 from .tensor import Rng
@@ -86,19 +86,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     _write_output(path, buf.getvalue())
 
 
-def _write_manifest(outdir: Path, command: str, seed: int | None, options: dict) -> None:
-    _write_json(outdir / "manifest.json", {
-        "command": command,
+def _write_manifest(args: argparse.Namespace, seed: int | None) -> None:
+    _write_json(Path(args.outdir) / "manifest.json", {
+        "command": args.command,
         "seed": seed,
-        "options": options,
+        "options": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
         "version": __version__,
     })
-
-
-def _clean_options(args: argparse.Namespace) -> dict:
-    skip = {"func", "command"}
-    return {k: (str(v) if isinstance(v, Path) else v)
-            for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def cmd_gradcheck(args) -> int:
@@ -113,7 +107,7 @@ def cmd_gradcheck(args) -> int:
             reports.append(check_layer(mode, shape, seed=args.seed, step=args.step))
     worst = max(r.max_rel_err for r in reports)
     passed = worst <= args.threshold
-    _write_manifest(outdir, "gradcheck", args.seed, _clean_options(args))
+    _write_manifest(args, args.seed)
     _write_json(outdir / "reports.json", {
         "threshold": args.threshold,
         "passed": passed,
@@ -140,7 +134,7 @@ def cmd_ratio(args) -> int:
                                       band_half_width=args.band)
     else:
         report = uniform_ratio_trial(args.n, seed=args.seed, band_half_width=args.band)
-    _write_manifest(outdir, "ratio", args.seed, _clean_options(args))
+    _write_manifest(args, args.seed)
     _write_csv(outdir / "ratios.csv", ["channel", "sigma_l2", "sigma_l1", "ratio"],
                report.rows())
     _write_json(outdir / "summary.json", report.to_dict())
@@ -173,7 +167,7 @@ def cmd_train(args) -> int:
     task, hidden, config = _PRESETS[args.preset]
     if args.epochs is not None:
         config = dataclasses.replace(config, epochs=args.epochs)
-    _write_manifest(outdir, "train", args.seed, _clean_options(args))
+    _write_manifest(args, args.seed)
     curve_header = ["epoch", "train_loss", "train_acc", "test_acc"]
     if args.preset == "parity":
         template = MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes)
@@ -207,14 +201,10 @@ def cmd_train(args) -> int:
 
 def cmd_cost(args) -> int:
     outdir = Path(args.outdir)
-    try:
-        layers = parse_architecture(args.arch)
-    except (ArchParseError, OSError) as exc:
-        print(f"cost: {exc}", file=sys.stderr)
-        return 1
+    layers = parse_architecture(args.arch)
     costs = OpCosts.from_json(args.costs) if args.costs else OpCosts()
     profile = model_report(layers, costs, include_root=args.include_root)
-    _write_manifest(outdir, "cost", None, _clean_options(args))  # counting is seed-free
+    _write_manifest(args, None)  # counting is seed-free
     _write_csv(
         outdir / "layers.csv",
         ["name", "m", "h", "w", "c", "mode",

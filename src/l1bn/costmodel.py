@@ -59,26 +59,15 @@ class OpCost:
                 raise ValueError(f"{f.name} must be nonnegative")
 
 
-# measured FPGA overhead of the four scalar ops (32-bit float)
-DEFAULT_OP_COSTS = {
-    "sign": OpCost(registers=153, dsp_blocks=0, time_ns=1.0, power_uw=2.0),
-    "abs": OpCost(registers=337, dsp_blocks=0, time_ns=1.0, power_uw=6.0),
-    "square": OpCost(registers=407, dsp_blocks=1, time_ns=3.0, power_uw=15.0),
-    "root": OpCost(registers=438, dsp_blocks=2, time_ns=28.0, power_uw=40.0),
-}
-
-
 @dataclass(frozen=True)
 class OpCosts:
-    """Per-op hardware weights; defaults are the measured FPGA numbers."""
+    """Per-op hardware weights; defaults are the measured FPGA overhead of the
+    four scalar ops (32-bit float)."""
 
-    sign: OpCost = DEFAULT_OP_COSTS["sign"]
-    abs: OpCost = DEFAULT_OP_COSTS["abs"]
-    square: OpCost = DEFAULT_OP_COSTS["square"]
-    root: OpCost = DEFAULT_OP_COSTS["root"]
-
-    def cost_of(self, op: str) -> OpCost:
-        return getattr(self, op)
+    sign: OpCost = OpCost(registers=153, dsp_blocks=0, time_ns=1.0, power_uw=2.0)
+    abs: OpCost = OpCost(registers=337, dsp_blocks=0, time_ns=1.0, power_uw=6.0)
+    square: OpCost = OpCost(registers=407, dsp_blocks=1, time_ns=3.0, power_uw=15.0)
+    root: OpCost = OpCost(registers=438, dsp_blocks=2, time_ns=28.0, power_uw=40.0)
 
     @classmethod
     def from_json(cls, path) -> "OpCosts":
@@ -98,7 +87,7 @@ class OpCosts:
                 raise ValueError(f"{path}: unknown op {op!r} (expected {', '.join(OP_NAMES)})")
             if not isinstance(fields, dict):
                 raise ValueError(f"{path}: {op}: expected an object of fields, got {fields!r}")
-            base = dataclasses.asdict(DEFAULT_OP_COSTS[op])
+            base = dataclasses.asdict(getattr(cls(), op))
             for name, value in fields.items():
                 if name not in base:
                     raise ValueError(
@@ -151,12 +140,10 @@ def count_ops(shape: LayerShape, mode: BnMode, training: bool = True) -> dict[st
 
 def weigh(counts: dict[str, int], costs: OpCosts,
           include_root: bool = True) -> dict[str, float]:
-    """Weighted time (ns) and power (µW) totals for a count vector."""
+    """Weighted time (ns) and power (µW) totals for a count vector; no other field weighs."""
     ops = [op for op in OP_NAMES if include_root or op != "root"]
-    return {
-        "time_ns": float(sum(counts[op] * costs.cost_of(op).time_ns for op in ops)),
-        "power_uw": float(sum(counts[op] * costs.cost_of(op).power_uw for op in ops)),
-    }
+    return {field: float(sum(counts[op] * getattr(getattr(costs, op), field) for op in ops))
+            for field in ("time_ns", "power_uw")}
 
 
 @dataclass
@@ -223,14 +210,9 @@ def model_report(layers: list[LayerShape], costs: OpCosts = OpCosts(),
                  include_root: bool = False) -> CostProfile:
     """Per-layer and total time/power under both norms for one architecture."""
     layer_costs = []
-    counts_l2 = dict.fromkeys(OP_NAMES, 0)
-    counts_l1 = dict.fromkeys(OP_NAMES, 0)
     for shape in layers:
         c2 = count_ops(shape, BnMode.L2)
         c1 = count_ops(shape, BnMode.L1)
-        for op in OP_NAMES:
-            counts_l2[op] += c2[op]
-            counts_l1[op] += c1[op]
         layer_costs.append(LayerCost(
             shape=shape,
             counts_l2=c2,
@@ -238,6 +220,8 @@ def model_report(layers: list[LayerShape], costs: OpCosts = OpCosts(),
             weighted_l2=weigh(c2, costs, include_root),
             weighted_l1=weigh(c1, costs, include_root),
         ))
+    counts_l2 = {op: sum(lc.counts_l2[op] for lc in layer_costs) for op in OP_NAMES}
+    counts_l1 = {op: sum(lc.counts_l1[op] for lc in layer_costs) for op in OP_NAMES}
     totals_l2 = weigh(counts_l2, costs, include_root)
     totals_l1 = weigh(counts_l1, costs, include_root)
     time_ratio = totals_l2["time_ns"] / totals_l1["time_ns"] if totals_l1["time_ns"] else 0.0

@@ -404,24 +404,71 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("shape", [(8, 3), (2, 2, 2, 3)])
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_constant_channel(self, mode, shape):
-        # every value of channel 1 is 3.0 and the pooled mean of 8 of them is exact
-        rng = Rng(0)
-        x = rng.normal(shape)
-        x[..., 1] = 3.0
-        params = BnParams(gamma=np.array([1.0, 1.5, 2.0]), beta=np.array([0.1, 0.2, 0.3]),
-                          mode=mode)
-        y, cache = bn_forward_train(x, params)
-        d_y = rng.normal(shape)
-        grads = bn_backward(d_y, cache, params)
-        assert np.all(rows(cache.x_hat)[:, 1] == 0.0) and cache.sigma_b[1] == 0.0
-        assert np.all(rows(y)[:, 1] == 0.2) and grads.d_gamma[1] == 0.0
-        g = rows(d_y)[:, 1]
-        centred = 1.5 * (g - g.mean())
-        got = rows(grads.d_input)[:, 1]
-        gain = 316.2278 if mode is BnMode.L2 else 100000.0  # 1/sqrt(ε) against 1/ε
-        assert np.linalg.norm(got) / np.linalg.norm(centred) == pytest.approx(gain, rel=1e-6)
-        denom = math.sqrt(params.epsilon) if mode is BnMode.L2 else params.epsilon
-        assert normwise_gap(got, centred / denom) <= 1e-15
+        # Channel 1 holds one value v.  The pooled mean of eight 3.0s is exact, so
+        # d = v - μ_B = 0 and x̂ = 0, y = β, d_gamma = 0 exactly; that of eight 0.1s
+        # is 1 ulp off, and x̂ takes the closed form in d.
+        k = GAUSSIAN_STD_OVER_MAD if mode is BnMode.L1_COMPENSATED else 1.0
+        for value, exact in ((3.0, True), (0.1, False)):
+            rng = Rng(0)
+            x = rng.normal(shape)
+            x[..., 1] = value
+            params = BnParams(gamma=np.array([1.0, 1.5, 2.0]),
+                              beta=np.array([0.1, 0.2, 0.3]), mode=mode)
+            y, cache = bn_forward_train(x, params)
+            d_y = rng.normal(shape)
+            grads = bn_backward(d_y, cache, params)
+            d = value - cache.mu_b[1]
+            assert (d == 0.0) == exact
+            if mode is BnMode.L2:
+                sigma, denom = abs(d), math.sqrt(d * d + params.epsilon)
+            else:
+                sigma, denom = k * abs(d), k * abs(d) + params.epsilon
+            x_hat = d / denom
+            ulps = 4 * np.spacing(abs(x_hat))  # 4 × 5e-324 when x̂ = 0
+            assert np.all(np.abs(rows(cache.x_hat)[:, 1] - x_hat) <= ulps)
+            assert cache.sigma_b[1] == pytest.approx(sigma, rel=4e-16, abs=0.0)
+            assert np.all(np.abs(rows(y)[:, 1] - (0.2 + 1.5 * x_hat)) <= 4 * np.spacing(0.2))
+            g = rows(d_y)[:, 1]
+            assert abs(grads.d_gamma[1] - x_hat * g.sum()) <= 1e-15 * abs(x_hat) * np.abs(g).sum()
+            centred = 1.5 * (g - g.mean())
+            got = rows(grads.d_input)[:, 1]
+            gain = 316.2278 if mode is BnMode.L2 else 100000.0  # 1/sqrt(ε) against 1/ε
+            assert np.linalg.norm(got) / np.linalg.norm(centred) == pytest.approx(gain, rel=1e-6)
+            assert normwise_gap(got, centred / denom) <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2, 1, 3)])
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_pooled_batch_of_two(self, mode, shape):
+        # With h = |x1 - x2|/2 every row sits ±h from the mean, so x̂ = ±h/(kh + ε)
+        # (L1, L1c) or ±h/sqrt(h² + ε) (L2), and the input gradient is what the
+        # mean and deviation terms leave of γ(g1 - g2)/2: ±γ(g1 - g2)(ε/2)/(kh + ε)²
+        # or ±γ(g1 - g2)(ε/2)/(h² + ε)^(3/2), the + on the first row.
+        rng = Rng(4)
+        x, d_y = rng.normal(shape), rng.normal(shape)
+        rows(x)[:, 0], rows(d_y)[:, 0] = (0.0, 1.0), (1.0, -0.5)
+        gamma = np.array([1.0, 0.7, 2.0])
+        params = BnParams(gamma=gamma, beta=np.zeros(3), mode=mode)
+        _, cache = bn_forward_train(x, params)
+        d_input = rows(bn_backward(d_y, cache, params).d_input)
+        xr, g, eps = rows(x), rows(d_y), params.epsilon
+        h = np.abs(xr[0] - xr[1]) / 2
+        if mode is BnMode.L2:
+            denom = np.sqrt(h * h + eps)
+            grad = gamma * (g[0] - g[1]) * (eps / 2) / (h * h + eps) ** 1.5
+        else:
+            k = GAUSSIAN_STD_OVER_MAD if mode is BnMode.L1_COMPENSATED else 1.0
+            denom = k * h + eps
+            grad = gamma * (g[0] - g[1]) * (eps / 2) / (k * h + eps) ** 2
+        x_hat = np.sign(xr[0] - xr[1]) * h / denom
+        ulps = 4 * np.spacing(np.abs(x_hat))
+        assert np.all(np.abs(rows(cache.x_hat) - [x_hat, -x_hat]) <= ulps)
+        # the gradient is a difference of terms of size γ|g|/denom; it is exact to
+        # their rounding, not to its own
+        tol = 4 * np.finfo(float).eps * gamma * np.abs(g).max(axis=0) / denom
+        assert np.all(np.abs(d_input - [grad, -grad]) <= tol)
+        assert np.all(np.abs(d_input[0] + d_input[1]) <= tol)
+        pinned = {BnMode.L2: 5.99964e-5, BnMode.L1: 2.99988e-5, BnMode.L1_COMPENSATED: 1.90980e-5}
+        assert d_input[0, 0] == pytest.approx(pinned[mode], rel=1e-5)
 
     @pytest.mark.parametrize("mode", [BnMode.L1, BnMode.L1_COMPENSATED])
     def test_tie_at_the_mean(self, mode):

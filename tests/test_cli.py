@@ -386,22 +386,26 @@ class TestOneLineErrors:
         (["ratio", "--channel-map", "--sigma", "0"],
          "ratio: channel 0 has zero deviation; its ratio is undefined"),
         (["cost", "--arch", "{empty}"], "cost: {empty}: no layers"),
+        (["cost", "--arch", "{missing}"],
+         "cost: [Errno 2] No such file or directory: '{missing}'"),
         (["ratio", "--mu", "inf"], NON_FINITE),
         (["ratio", "--mu", "nan"], NON_FINITE),
         (["ratio", "--sigma", "inf"], NON_FINITE),
         (["ratio", "--channel-map", "--mu", "nan"], NON_FINITE),
         (["ratio", "--band", "-1"], "ratio: band half-width must be finite and >= 0, got -1.0"),
-    ], ids=["gradcheck-overflow", "ratio-constant-channel", "cost-no-layers", "ratio-mu-inf",
+    ], ids=["gradcheck-overflow", "ratio-constant-channel", "cost-no-layers",
+            "cost-missing-arch", "ratio-mu-inf",
             "ratio-mu-nan", "ratio-sigma-inf", "ratio-channel-map-mu-nan", "ratio-negative-band"])
     def test_exit_one_with_one_stderr_line(self, tmp_path, argv, line):
-        empty = write_arch(tmp_path, "empty.arch", ["# no layers here"])
+        paths = {"empty": write_arch(tmp_path, "empty.arch", ["# no layers here"]),
+                 "missing": str(tmp_path / "missing.arch")}
         proc = subprocess.run(
-            [sys.executable, "-m", "l1bn.cli", *(a.format(empty=empty) for a in argv),
+            [sys.executable, "-m", "l1bn.cli", *(a.format(**paths) for a in argv),
              "--outdir", str(tmp_path / "out")],
             env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
             timeout=60)
         assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [line.format(empty=empty)]
+        assert proc.stderr.splitlines() == [line.format(**paths)]
         assert proc.stdout == ""
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from l1bn.batchnorm import BnMode
 from l1bn.costmodel import (
-    DEFAULT_OP_COSTS,
     ArchParseError,
     LayerShape,
     OpCost,
