@@ -86,10 +86,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     _write_output(path, buf.getvalue())
 
 
-def _write_manifest(args: argparse.Namespace, seed: int | None) -> None:
+def _write_manifest(args: argparse.Namespace) -> None:
     _write_json(Path(args.outdir) / "manifest.json", {
         "command": args.command,
-        "seed": seed,
+        "seed": vars(args).get("seed"),
         "options": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
         "version": __version__,
     })
@@ -107,7 +107,7 @@ def cmd_gradcheck(args) -> int:
             reports.append(check_layer(mode, shape, seed=args.seed, step=args.step))
     worst = max(r.max_rel_err for r in reports)
     passed = worst <= args.threshold
-    _write_manifest(args, args.seed)
+    _write_manifest(args)
     _write_json(outdir / "reports.json", {
         "threshold": args.threshold,
         "passed": passed,
@@ -134,7 +134,7 @@ def cmd_ratio(args) -> int:
                                       band_half_width=args.band)
     else:
         report = uniform_ratio_trial(args.n, seed=args.seed, band_half_width=args.band)
-    _write_manifest(args, args.seed)
+    _write_manifest(args)
     _write_csv(outdir / "ratios.csv", ["channel", "sigma_l2", "sigma_l1", "ratio"],
                report.rows())
     _write_json(outdir / "summary.json", report.to_dict())
@@ -167,7 +167,7 @@ def cmd_train(args) -> int:
     task, hidden, config = _PRESETS[args.preset]
     if args.epochs is not None:
         config = dataclasses.replace(config, epochs=args.epochs)
-    _write_manifest(args, args.seed)
+    _write_manifest(args)
     curve_header = ["epoch", "train_loss", "train_acc", "test_acc"]
     if args.preset == "parity":
         template = MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes)
@@ -204,7 +204,7 @@ def cmd_cost(args) -> int:
     layers = parse_architecture(args.arch)
     costs = OpCosts.from_json(args.costs) if args.costs else OpCosts()
     profile = model_report(layers, costs, include_root=args.include_root)
-    _write_manifest(args, None)  # counting is seed-free
+    _write_manifest(args)
     _write_csv(
         outdir / "layers.csv",
         ["name", "m", "h", "w", "c", "mode",

@@ -61,8 +61,7 @@ class OpCost:
 
 @dataclass(frozen=True)
 class OpCosts:
-    """Per-op hardware weights; defaults are the measured FPGA overhead of the
-    four scalar ops (32-bit float)."""
+    """Per-op hardware weights; defaults are the measured FPGA costs of 32-bit float ops."""
 
     sign: OpCost = OpCost(registers=153, dsp_blocks=0, time_ns=1.0, power_uw=2.0)
     abs: OpCost = OpCost(registers=337, dsp_blocks=0, time_ns=1.0, power_uw=6.0)
@@ -142,8 +141,10 @@ def weigh(counts: dict[str, int], costs: OpCosts,
           include_root: bool = True) -> dict[str, float]:
     """Weighted time (ns) and power (µW) totals for a count vector; no other field weighs."""
     ops = [op for op in OP_NAMES if include_root or op != "root"]
-    return {field: float(sum(counts[op] * getattr(getattr(costs, op), field) for op in ops))
-            for field in ("time_ns", "power_uw")}
+    return {
+        "time_ns": float(sum(counts[op] * getattr(costs, op).time_ns for op in ops)),
+        "power_uw": float(sum(counts[op] * getattr(costs, op).power_uw for op in ops)),
+    }
 
 
 @dataclass

@@ -424,10 +424,11 @@ class TestDegenerateInputs:
             else:
                 sigma, denom = k * abs(d), k * abs(d) + params.epsilon
             x_hat = d / denom
-            ulps = 4 * np.spacing(abs(x_hat))  # 4 × 5e-324 when x̂ = 0
+            ulps = 4 * np.spacing(abs(x_hat)) if d else 0.0
+            tol_y = 4 * np.spacing(0.2) if d else 0.0
             assert np.all(np.abs(rows(cache.x_hat)[:, 1] - x_hat) <= ulps)
             assert cache.sigma_b[1] == pytest.approx(sigma, rel=4e-16, abs=0.0)
-            assert np.all(np.abs(rows(y)[:, 1] - (0.2 + 1.5 * x_hat)) <= 4 * np.spacing(0.2))
+            assert np.all(np.abs(rows(y)[:, 1] - (0.2 + 1.5 * x_hat)) <= tol_y)
             g = rows(d_y)[:, 1]
             assert abs(grads.d_gamma[1] - x_hat * g.sum()) <= 1e-15 * abs(x_hat) * np.abs(g).sum()
             centred = 1.5 * (g - g.mean())
