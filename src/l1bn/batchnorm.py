@@ -24,11 +24,25 @@ Supported layouts (statistics always pool everything except the last axis):
 
     2-D (m, d)       -> per-feature stats over axis 0,      |B| = m
     4-D (m, h, w, c) -> per-channel stats over axes 0,1,2,  |B| = m·h·w
+
+Each chain of elementwise passes runs over row blocks of the (N, c) view,
+``BLOCK_ELEMS`` float64s (256 KB) per operand, so the chain's later passes read
+a block from L2 rather than the whole array from L3 or memory: the forward's
+normalize/affine tail, and the backward's assembly of ∂ℓ/∂x, whose d_y·γ/denom
+term is a one-block temporary.  The reductions (the column sums, both einsums,
+the mean of sgn x̂) stay one numpy call over the whole view, since their
+summation order sets their bits; ufuncs round each element alone, so the block
+size moves no output bit.  An array that fits one block is its own block, for
+one extra function call.  Three passes stay whole, since blocking them measured
+slower on a 2-vCPU VM: centring, which the reductions need complete (L1's
+|x - μ_B| with it in row blocks slowed the backward that follows), and
+inference's multiply and add, whose gain at 2.1M elements was lost at 192k.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +52,10 @@ from .tensor import ShapeError, reduce_mean, reduce_sum, sign
 
 # std/MAD ratio of a Gaussian: sqrt(pi/2).
 GAUSSIAN_STD_OVER_MAD = math.sqrt(math.pi / 2.0)
+
+# float64s per operand in one row block (256 KB), so a block's chain of
+# elementwise passes runs in L2.
+BLOCK_ELEMS = 1 << 15
 
 
 class LayoutError(ValueError):
@@ -172,6 +190,16 @@ def _mean_rows(x_rows: np.ndarray) -> np.ndarray:
     return mean
 
 
+def _row_blocks(*arrays: np.ndarray) -> Sequence[tuple[np.ndarray, ...]]:
+    """Matching row blocks of equal-shape (N, c) ``arrays``, ``BLOCK_ELEMS`` elements
+    each; ``(arrays,)`` itself when one block covers them."""
+    if arrays[0].size <= BLOCK_ELEMS:
+        return (arrays,)
+    n, c = arrays[0].shape
+    step = max(1, BLOCK_ELEMS // c)
+    return [tuple(a[i:i + step] for a in arrays) for i in range(0, n, step)]
+
+
 def _centre(x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pooled mean and a fresh (N, c) array of x - μ_B, from the rows view."""
     if len(x_rows) < 2:
@@ -224,20 +252,22 @@ def bn_forward_train(x: np.ndarray, params: BnParams) -> tuple[np.ndarray, BnCac
     """Normalize with fresh batch statistics; returns output and backward cache."""
     x = np.asarray(x, dtype=np.float64)
     mu, x_hat = _centre(_checked_rows(x, params))  # x - μ_B, normalized in place below
-    y = None
     if params.mode is BnMode.L2:
         var = np.einsum("ij,ij->j", x_hat, x_hat) / len(x_hat)  # no x² temporary
         sigma = np.sqrt(var)
         denom = np.sqrt(var + params.epsilon)
+        y = np.empty_like(x_hat) if params.use_affine else None
     else:
         y = np.abs(x_hat)  # |x - μ_B|; the buffer then takes the output
         sigma = _mean_rows(y) * _compensation(params.mode)
         denom = sigma + params.epsilon
-    x_hat /= denom
     if params.use_affine:
-        y = np.multiply(x_hat, params.gamma, out=y)
-        y += params.beta
+        for hb, yb in _row_blocks(x_hat, y):
+            hb /= denom
+            np.multiply(hb, params.gamma, out=yb)
+            yb += params.beta
     else:
+        x_hat /= denom
         y = x_hat
     cache = BnCache(mu_b=mu, sigma_b=sigma, x_hat=x_hat.reshape(x.shape), mode=params.mode,
                     denom=denom)
@@ -270,14 +300,17 @@ def bn_backward(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle
     gamma = params.gamma if params.use_affine else 1.0
     mean_g, mean_gx = gamma * sum_dy / len(dy), gamma * sum_dy_xhat / len(dy)
     if cache.mode is BnMode.L2:
-        d_input = x_hat * (-mean_gx / cache.denom)
+        v, d_input, v_scale = x_hat, np.empty_like(dy), -mean_gx / cache.denom
     else:
         k = _compensation(cache.mode)
-        s = sign(x_hat)  # sgn(x̂) == sgn(x - μ) since denom > 0
-        mean_g = mean_g - k * mean_gx * _mean_rows(s)  # the per-feature part of μ(g·x̂)·v
-        d_input = np.multiply(s, -k * mean_gx / cache.denom, out=s)
-    d_input += dy * (gamma / cache.denom)
-    d_input -= mean_g / cache.denom
+        v = d_input = sign(x_hat)  # sgn(x̂) == sgn(x - μ) since denom > 0
+        mean_g = mean_g - k * mean_gx * _mean_rows(v)  # the per-feature part of μ(g·x̂)·v
+        v_scale = -k * mean_gx / cache.denom
+    g_scale, shift = gamma / cache.denom, mean_g / cache.denom
+    for vb, dyb, db in _row_blocks(v, dy, d_input):
+        np.multiply(vb, v_scale, out=db)
+        db += dyb * g_scale  # the one temporary: a block of d_y·γ/denom
+        db -= shift
     if not params.use_affine:  # γ/β do not influence the output
         sum_dy_xhat, sum_dy = np.zeros_like(sum_dy), np.zeros_like(sum_dy)
     return GradBundle(d_input=d_input.reshape(d_y.shape), d_gamma=sum_dy_xhat, d_beta=sum_dy)

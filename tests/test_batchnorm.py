@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l1bn import batchnorm
 from l1bn.batchnorm import (
+    BLOCK_ELEMS,
     GAUSSIAN_STD_OVER_MAD,
     BatchSizeError,
     BnMode,
@@ -667,9 +669,10 @@ class TestPeakMemory:
     """Each kernel call's traced peak, in multiples of the input's bytes.
 
     numpy reports its array buffers to tracemalloc.  The forward keeps y and
-    x̂ (2×), the backward holds d_input and one full-size temporary (2×),
-    inference returns y (1×); the allowance covers the per-feature vectors and
-    Python objects (~68 KB at this shape), not one more full-size array.
+    x̂ (2×), the backward holds d_input (1×) plus one row block of d_y·γ/denom
+    (``BLOCK_ELEMS`` elements, half of x at this shape), inference returns y
+    (1×); the allowance covers the per-feature vectors and Python objects
+    (~68 KB at this shape), not one more full-size array.
     """
 
     SHAPE = (16, 8, 8, 64)
@@ -683,10 +686,11 @@ class TestPeakMemory:
         params = BnParams.init(self.SHAPE[-1], mode=mode)
         _, cache = bn_forward_train(x, params)
         state = update_running_stats(BnState.init(self.SHAPE[-1]), cache.mu_b, cache.sigma_b)
+        block = BLOCK_ELEMS * x.itemsize
         calls = {
-            "bn_forward_train": (2, lambda: bn_forward_train(x, params)),
-            "bn_backward": (2, lambda: bn_backward(d_y, cache, params)),
-            "bn_forward_infer": (1, lambda: bn_forward_infer(x, params, state)),
+            "bn_forward_train": (2 * x.nbytes, lambda: bn_forward_train(x, params)),
+            "bn_backward": (x.nbytes + block, lambda: bn_backward(d_y, cache, params)),
+            "bn_forward_infer": (x.nbytes, lambda: bn_forward_infer(x, params, state)),
         }
         tracemalloc.start()
         try:
@@ -700,9 +704,72 @@ class TestPeakMemory:
                 del out
         finally:
             tracemalloc.stop()
-        for name, (k, _) in calls.items():
-            assert peaks[name] <= k * x.nbytes + self.ALLOWANCE, (
+        assert x.size > BLOCK_ELEMS  # so the backward runs in more than one block
+        for name, (budget, _) in calls.items():
+            assert peaks[name] <= budget + self.ALLOWANCE, (
                 f"{name}: peak {peaks[name] / x.nbytes:.2f} × x.nbytes")
+
+
+class TestRowBlocks:
+    """The elementwise passes run in row blocks; the reductions see whole arrays,
+    so the block size moves no bit of any output."""
+
+    # (N, c) = (23, 5) and (24, 5): 7-row blocks leave a ragged last block
+    SHAPES = ((23, 5), (3, 2, 4, 5), (2, 5), (1, 2, 1, 5))
+
+    @staticmethod
+    def outputs(x, d_y, params):
+        y, cache = bn_forward_train(x, params)
+        grads = bn_backward(d_y, cache, params)
+        state = update_running_stats(BnState.init(x.shape[-1]), cache.mu_b, cache.sigma_b)
+        return [a.tobytes() for a in (
+            y, cache.x_hat, cache.mu_b, cache.sigma_b, cache.denom, grads.d_input,
+            grads.d_gamma, grads.d_beta, bn_forward_infer(x, params, state))]
+
+    @pytest.mark.parametrize("use_affine", (True, False))
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_block_size_moves_no_bit(self, monkeypatch, mode, shape, use_affine):
+        rng = Rng(11)
+        x = rng.normal(shape, mu=0.5, sigma=2.0)
+        x[..., 1] = 0.1  # constant channel, pooled mean 1 ulp off
+        x[..., 2] = 3.0  # constant channel, exact pooled mean
+        x.reshape(-1, shape[-1])[0, 3] = np.nan
+        d_y = rng.normal(shape)
+        c = shape[-1]
+        params = BnParams(gamma=np.linspace(0.5, 1.5, c), beta=np.linspace(-0.5, 0.5, c),
+                          mode=mode, use_affine=use_affine)
+        monkeypatch.setattr(batchnorm, "BLOCK_ELEMS", x.size)  # one block
+        expected = self.outputs(x, d_y, params)
+        for block_rows in (1, 7):
+            monkeypatch.setattr(batchnorm, "BLOCK_ELEMS", block_rows * c)
+            assert self.outputs(x, d_y, params) == expected, block_rows
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_default_blocks_match_one_block(self, monkeypatch, mode):
+        # (600, 64) is two default blocks, the second ragged
+        rng = Rng(12)
+        x = rng.normal((600, 64), mu=-1.0, sigma=3.0)
+        d_y = rng.normal(x.shape)
+        params = BnParams(gamma=np.linspace(0.5, 1.5, 64), beta=np.linspace(-1, 1, 64),
+                          mode=mode)
+        assert len(batchnorm._row_blocks(x)) == 2
+        default = self.outputs(x, d_y, params)
+        monkeypatch.setattr(batchnorm, "BLOCK_ELEMS", x.size)
+        assert self.outputs(x, d_y, params) == default
+
+    def test_one_block_is_the_arrays_themselves(self):
+        a, b = np.zeros((128, 64)), np.ones((128, 64))
+        ((a_block, b_block),) = batchnorm._row_blocks(a, b)
+        assert a_block is a and b_block is b
+
+    def test_blocks_tile_the_rows(self, monkeypatch):
+        a, b = np.arange(46.0).reshape(23, 2), np.zeros((23, 2))
+        monkeypatch.setattr(batchnorm, "BLOCK_ELEMS", 14)
+        blocks = batchnorm._row_blocks(a, b)
+        assert [len(ab) for ab, _ in blocks] == [7, 7, 7, 2]
+        assert all(np.shares_memory(bb, b) for _, bb in blocks)
+        np.testing.assert_array_equal(np.concatenate([ab for ab, _ in blocks]), a)
 
 
 class TestParams:
