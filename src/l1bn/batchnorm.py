@@ -256,19 +256,17 @@ def bn_forward_train(x: np.ndarray, params: BnParams) -> tuple[np.ndarray, BnCac
         var = np.einsum("ij,ij->j", x_hat, x_hat) / len(x_hat)  # no x² temporary
         sigma = np.sqrt(var)
         denom = np.sqrt(var + params.epsilon)
-        y = np.empty_like(x_hat) if params.use_affine else None
+        y = np.empty_like(x_hat)
     else:
         y = np.abs(x_hat)  # |x - μ_B|; the buffer then takes the output
         sigma = _mean_rows(y) * _compensation(params.mode)
         denom = sigma + params.epsilon
-    if params.use_affine:
-        for hb, yb in _row_blocks(x_hat, y):
-            hb /= denom
-            np.multiply(hb, params.gamma, out=yb)
-            yb += params.beta
-    else:
-        x_hat /= denom
-        y = x_hat
+    # without the affine stage y = 1·x̂ + 0 is still its own array, not the cache's x̂
+    gamma, beta = (params.gamma, params.beta) if params.use_affine else (1.0, 0.0)
+    for hb, yb in _row_blocks(x_hat, y):
+        hb /= denom
+        np.multiply(hb, gamma, out=yb)
+        yb += beta
     cache = BnCache(mu_b=mu, sigma_b=sigma, x_hat=x_hat.reshape(x.shape), mode=params.mode,
                     denom=denom)
     return y.reshape(x.shape), cache

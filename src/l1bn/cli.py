@@ -22,8 +22,13 @@ from pathlib import Path
 from . import __version__
 from .batchnorm import BnMode
 from .costmodel import OpCosts, model_report, parse_architecture
-from .gradcheck import check_layer
-from .ratio import channelwise_ratio_map, gaussian_ratio_trial, uniform_ratio_trial
+from .gradcheck import DEFAULT_STEP, check_layer
+from .ratio import (
+    DEFAULT_BAND_HALF_WIDTH,
+    channelwise_ratio_map,
+    gaussian_ratio_trial,
+    uniform_ratio_trial,
+)
 from .tensor import Rng
 from .trainer import MlpSpec, SgdConfig, SyntheticTask, parity_gap, run_experiment
 
@@ -246,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=_positive_int, default=3, help="spatial height (4d layout)")
     p.add_argument("--width", type=_positive_int, default=3, help="spatial width (4d layout)")
     p.add_argument("--channels", type=_positive_int, default=2, help="channels (4d layout)")
-    p.add_argument("--step", type=float, default=1e-6, help="finite-difference step")
+    p.add_argument("--step", type=float, default=DEFAULT_STEP, help="finite-difference step")
     p.add_argument("--threshold", type=float, default=1e-5, help="max allowed relative error")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--outdir", default="runs/gradcheck")
@@ -257,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--dist", choices=("gaussian", "uniform"), default="gaussian")
-    p.add_argument("--band", type=float, default=0.01, help="half-width of the Gaussian band")
+    p.add_argument("--band", type=float, default=DEFAULT_BAND_HALF_WIDTH,
+                   help="half-width of the Gaussian band")
     p.add_argument("--channel-map", action="store_true",
                    help="per-channel map over a synthetic 4-D tensor instead of one stream")
     p.add_argument("--m", type=_positive_int, default=64)

@@ -35,6 +35,7 @@ REL_ERR_FLOOR = 1e-8  # denominator floor: avoids blowup where both gradients ~ 
 _CHUNK_VALUES = 1 << 18  # probe values per call of the loss: 2 MB of float64
 TIE_MARGIN = 1e-3
 MAX_RESAMPLES = 100
+DEFAULT_STEP = 1e-6  # central-difference step; also `l1bn gradcheck --step`'s default
 
 
 class EvaluationError(ValueError):
@@ -49,7 +50,7 @@ class DegenerateInputError(ValueError):
     """Could not draw a batch clear of the |x - μ| kink within the retry cap."""
 
 
-def finite_diff(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+def finite_diff(f, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
     """Central-difference gradient of ``f`` at ``x``.
 
     ``f`` maps a stack of points of shape (k, *x.shape) to their k losses.
@@ -148,7 +149,7 @@ def draw_inputs(mode: BnMode, shape, rng: Rng) -> np.ndarray:
     )
 
 
-def check_layer(mode: BnMode, shape, seed: int = 0, step: float = 1e-6) -> GradReport:
+def check_layer(mode: BnMode, shape, seed: int = 0, step: float = DEFAULT_STEP) -> GradReport:
     """Run one forward/backward pair against the finite-difference oracle."""
     shape = tuple(shape)
     if len(rows(np.empty(shape))) < 4:

@@ -97,14 +97,14 @@ def _report(x: np.ndarray, band_half_width: float) -> RatioReport:
     return RatioReport(
         sigma_l2=sigma_l2,
         sigma_l1=sigma_l1,
-        ratios=np.atleast_1d(ratios),
+        ratios=ratios,
         mean_ratio=mean_ratio,
         gaussian_gap=gap,
         in_gaussian_band=bool(abs(gap) <= band_half_width),
         band_half_width=band_half_width,
         sample_count=len(rows(x)),
-        hist_l2=Histogram.of(np.atleast_1d(sigma_l2)),
-        hist_l1=Histogram.of(np.atleast_1d(sigma_l1)),
+        hist_l2=Histogram.of(sigma_l2),
+        hist_l1=Histogram.of(sigma_l1),
     )
 
 

@@ -186,6 +186,22 @@ class TestForwardTrain:
         y, _ = bn_forward_train(two_point(), params)
         assert np.allclose(y.ravel(), [3.0, 7.0], atol=1e-5)
 
+    @pytest.mark.parametrize("shape", [(8, 3), (2, 3, 3, 4), (600, 64)])  # (600, 64): 2 blocks
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_non_affine_output_is_its_own_array(self, mode, shape):
+        rng = Rng(4)
+        x, d_y = rng.normal(shape, mu=1.0, sigma=2.0), rng.normal(shape)
+        params = BnParams.init(shape[-1], mode=mode, use_affine=False)
+        y, cache = bn_forward_train(x, params)
+        assert not np.shares_memory(y, cache.x_hat)
+        assert np.array_equal(y, cache.x_hat)
+        y *= 2.0  # the caller owns y: its backward cache must not see this
+        expected = bn_backward(d_y, bn_forward_train(x, params)[1], params)
+        got = bn_backward(d_y, cache, params)
+        for a, b in zip((got.d_input, got.d_gamma, got.d_beta),
+                        (expected.d_input, expected.d_gamma, expected.d_beta)):
+            assert a.tobytes() == b.tobytes()
+
     def test_compensated_tracks_l2_on_gaussian(self):
         # Monte Carlo: per-feature output std agrees within 3% at |B|=1e4
         x = Rng(11).normal((10_000, 8))
@@ -543,6 +559,10 @@ class TestRunningStats:
         with pytest.raises(ValueError):
             BnState.init(1, momentum=1.5)
 
+    def test_running_length_mismatch(self):
+        with pytest.raises(ShapeError, match="length mismatch"):
+            BnState(running_mu=np.zeros(3), running_sigma=np.ones(2))
+
 
 class TestRunningStatsInPlace:
     """``update_running_stats`` writes into the state it is given."""
@@ -647,6 +667,11 @@ class TestInference:
         params = BnParams.init(3)
         with pytest.raises(StateError):
             bn_forward_infer(Rng(0).normal((4, 3)), params, BnState.init(3))
+
+    def test_state_feature_count_mismatch(self):
+        state = BnState(running_mu=np.zeros(2), running_sigma=np.ones(2), updates=1)
+        with pytest.raises(ShapeError, match="state feature count"):
+            bn_forward_infer(Rng(0).normal((4, 3)), BnParams.init(3), state)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_infer_close_to_train_mode_on_stationary_stream(self, mode):
@@ -780,3 +805,7 @@ class TestParams:
     def test_gamma_beta_length(self):
         with pytest.raises(ShapeError):
             BnParams(gamma=np.ones(3), beta=np.zeros(2))
+
+    def test_gamma_beta_must_be_1d(self):
+        with pytest.raises(ShapeError, match="1-D"):
+            BnParams(gamma=np.ones((3, 1)), beta=np.zeros((3, 1)))

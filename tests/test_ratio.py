@@ -86,6 +86,10 @@ class TestUniformControl:
         assert abs(report.mean_ratio - oracle) <= 0.01
         assert not report.in_gaussian_band
 
+    def test_small_n_rejected(self):
+        with pytest.raises(StatisticsError, match="at least 100"):
+            uniform_ratio_trial(50)
+
 
 class TestChannelwiseMap:
     def test_iid_channels_all_in_wide_band(self):

@@ -46,6 +46,10 @@ class TestRng:
         x = Rng(3).uniform((1000,), -1.0, 1.0)
         assert x.min() >= -1.0 and x.max() < 1.0
 
+    def test_uniform_empty_interval_rejected(self):
+        with pytest.raises(DomainError, match="empty interval"):
+            Rng(0).uniform((3,), 1.0, -1.0)
+
 
 class TestReduce:
     """Both reductions take an (N, c) rows view and reduce its rows."""

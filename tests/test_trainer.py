@@ -359,6 +359,24 @@ class TestRunExperiment:
         assert len(rec.train_loss) <= 20
         assert not rec.diverged
 
+    def test_loss_averages_only_the_trained_rows(self):
+        # 10 rows in batches of 3: the last batch holds 1 row and is skipped
+        task = SyntheticTask(classes=2, dim=5, train_per_class=5, test_per_class=5, seed=3)
+        config = SgdConfig(learning_rate=0.05, epochs=1, batch_size=3)
+        model = Mlp(sanity_spec(BnMode.L2))
+        x_train, y_train, _, _ = task.make()
+        order = Rng(model.spec.seed + 1).permutation(len(x_train))  # train's shuffle
+        probe = Mlp(sanity_spec(BnMode.L2))
+        velocity, losses = np.zeros_like(probe.theta), []
+        for lo in range(0, 9, 3):  # the three full batches, as train runs them
+            idx = order[lo:lo + 3]
+            loss, grad = forward_backward_step(probe, x_train[idx], y_train[idx])
+            sgd_update(probe.theta, grad, velocity, config.lr_at(0))
+            losses.append(loss * 3)
+        record = train(model, task, config)
+        assert not record.diverged
+        assert record.train_loss == [float(np.sum(losses) / 9)]
+
     def test_deterministic_record(self):
         cfg = SgdConfig(learning_rate=0.1, epochs=4, batch_size=64)
         r1 = run_experiment(SANITY_TASK, sanity_spec(BnMode.L1, seed=5), cfg)
@@ -450,3 +468,5 @@ class TestSpecValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SgdConfig(learning_rate=0.0)
+        with pytest.raises(ValueError, match="batch_size"):
+            SgdConfig(batch_size=1)  # every batch would be skipped: no row trains
