@@ -1,8 +1,10 @@
 """Desk-scale MLP training harness for comparing the two normalizations.
 
-Dense -> BN -> ReLU blocks, softmax cross-entropy, SGD with momentum.  The
-classification task is synthetic (Gaussian clusters), which keeps a full run
-under a minute while exercising every forward/backward/statistics code path.
+Dense -> BN -> ReLU blocks, softmax cross-entropy, SGD with momentum.  A dense
+layer that feeds a BN layer has no bias: BN's mean subtraction cancels it and
+β takes its place (Ioffe & Szegedy 2015, §3.2).  The classification task is
+synthetic (Gaussian clusters), which keeps a full run under a minute while
+exercising every forward/backward/statistics code path.
 """
 
 from __future__ import annotations
@@ -82,6 +84,14 @@ class SyntheticTask:
     spread: float = 1.0
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("classes", "dim", "train_per_class", "test_per_class"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.classes * self.train_per_class < 2:  # no batch could hold two rows
+            raise ValueError("the training set needs at least 2 rows, got "
+                             f"classes * train_per_class = {self.classes * self.train_per_class}")
+
     def make(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         rng = Rng(self.seed)
         centers = rng.normal((self.classes, self.dim), 0.0, self.center_scale)
@@ -103,14 +113,16 @@ class DenseLayer:
 
     ``take(*shape)`` hands out a parameter array and its gradient array; the
     layer takes ``w`` then ``b`` and trains them in place.  With
+    ``bias=False`` it takes only ``w``, and ``b`` and ``db`` are None.  With
     ``input_grad=False`` the backward skips ``d_out @ w.T`` and returns None:
     the network's first layer has no layer below it to read that gradient.
     """
 
-    def __init__(self, take, rng: Rng, fan_in: int, fan_out: int, input_grad: bool = True):
+    def __init__(self, take, rng: Rng, fan_in: int, fan_out: int, input_grad: bool = True,
+                 bias: bool = True):
         self.w, self.dw = take(fan_in, fan_out)
         self.w[...] = rng.normal((fan_in, fan_out), 0.0, math.sqrt(2.0 / fan_in))
-        self.b, self.db = take(fan_out)
+        self.b, self.db = take(fan_out) if bias else (None, None)
         self.input_grad = input_grad
         self._x = None
 
@@ -118,12 +130,14 @@ class DenseLayer:
         if training:
             self._x = x
         out = x @ self.w
-        out += self.b  # same sum as `x @ w + b`, without a second fresh array
+        if self.b is not None:
+            out += self.b  # same sum as `x @ w + b`, without a second fresh array
         return out
 
     def backward(self, d_out: np.ndarray) -> np.ndarray | None:
         np.matmul(self._x.T, d_out, out=self.dw)
-        d_out.sum(axis=0, out=self.db)
+        if self.db is not None:
+            d_out.sum(axis=0, out=self.db)
         return d_out @ self.w.T if self.input_grad else None
 
 
@@ -178,14 +192,16 @@ class Mlp:
     gradient a view into ``grad``, both in layer order, so one SGD step is four
     array calls however many layers there are.  Each layer takes its views when
     it is built.  The gradient views are live: the next backward overwrites them.
+    With BN, each hidden dense layer has no bias (BN's β replaces it), so
+    ``theta`` holds Σ fan_in·fan_out weights, the head's bias and γ, β per
+    hidden feature; without BN, every dense layer has a bias.
     """
 
     def __init__(self, spec: MlpSpec):
         self.spec = spec
         widths = (spec.in_dim, *spec.hidden, spec.classes)
-        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
-        if spec.bn_mode is not None:
-            size += 2 * sum(spec.hidden)
+        size = sum(fan_in * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+        size += spec.classes + (1 if spec.bn_mode is None else 2) * sum(spec.hidden)
         self.theta = np.zeros(size)
         self.grad = np.zeros(size)
         offset = 0
@@ -199,7 +215,8 @@ class Mlp:
         rng = Rng(spec.seed)
         self.layers = []
         for fan_in, width in zip(widths, spec.hidden):
-            self.layers.append(DenseLayer(take, rng, fan_in, width, input_grad=bool(self.layers)))
+            self.layers.append(DenseLayer(take, rng, fan_in, width, input_grad=bool(self.layers),
+                                          bias=spec.bn_mode is None))
             if spec.bn_mode is not None:
                 self.layers.append(BnLayer(take, width, spec.bn_mode))
             self.layers.append(ReluLayer())
@@ -217,7 +234,8 @@ class Mlp:
             d = layer.backward(d)
 
     def hidden_preactivations(self, x: np.ndarray) -> list[np.ndarray]:
-        """Per-block dense outputs before normalization (inference path)."""
+        """Per-block dense outputs before normalization (inference path):
+        ``x @ W`` in a BN net, whose hidden dense layers have no bias."""
         acts = []
         out = x
         for layer in self.layers[:-1]:

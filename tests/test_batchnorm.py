@@ -249,6 +249,22 @@ class TestForwardTrain:
             y_scaled, _ = bn_forward_train(c * x, params)
             assert np.allclose(y_base, y_scaled, atol=1e-7, rtol=1e-7)
 
+    @pytest.mark.parametrize("shape", [(5, 2), (128, 64), (3000, 7), (16, 4, 4, 8)])
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_shift_invariance_and_zero_column_gradient(self, mode, shape):
+        # a per-feature shift moves μ_B with it, so y ignores it and ∂ℓ/∂x sums
+        # to zero over each feature's pooled rows: a bias feeding BN is inert,
+        # which is why trainer.Mlp builds those dense layers without one
+        rng = Rng(sum(shape))
+        c = shape[-1]
+        x = rng.normal(shape)
+        params = BnParams(rng.uniform((c,), 0.5, 1.5), rng.uniform((c,), -0.5, 0.5), 1e-5, mode)
+        y, cache = bn_forward_train(x, params)
+        y_shifted, _ = bn_forward_train(x + rng.uniform((c,), -5.0, 5.0), params)
+        assert np.abs(y_shifted - y).max() <= 1e-12 * np.abs(y).max()
+        d_input = rows(bn_backward(rng.normal(shape), cache, params).d_input)
+        assert np.all(np.abs(d_input.sum(axis=0)) <= 1e-12 * np.abs(d_input).sum(axis=0))
+
     @given(st.integers(0, 10_000), st.floats(1e-3, 1e3))
     @settings(max_examples=60, deadline=None)
     def test_deviations_one_homogeneous(self, seed, c):

@@ -50,6 +50,8 @@ def fresh(*shape):
 def layer_arrays(layer):
     """A layer's parameter arrays and gradient arrays, in the order it took them."""
     if isinstance(layer, DenseLayer):
+        if layer.b is None:
+            return [layer.w], [layer.dw]
         return [layer.w, layer.b], [layer.dw, layer.db]
     if isinstance(layer, BnLayer):
         return [layer.params.gamma, layer.params.beta], [layer.d_gamma, layer.d_beta]
@@ -135,8 +137,9 @@ def reference_train(model, task, config):
     and SGD walks the arrays one by one.  Returns the record and the parameters."""
     for layer in model.layers:
         if isinstance(layer, DenseLayer):
-            layer.w, layer.b = layer.w.copy(), layer.b.copy()
-            layer.dw, layer.db = layer.dw.copy(), layer.db.copy()
+            layer.w, layer.dw = layer.w.copy(), layer.dw.copy()
+            if layer.b is not None:
+                layer.b, layer.db = layer.b.copy(), layer.db.copy()
         elif isinstance(layer, BnLayer):
             layer.params.gamma, layer.params.beta = (layer.params.gamma.copy(),
                                                      layer.params.beta.copy())
@@ -159,7 +162,7 @@ def reference_train(model, task, config):
             grads = []
             for layer in reversed(model.layers):
                 if isinstance(layer, DenseLayer):
-                    grads[:0] = [layer._x.T @ d, d.sum(axis=0)]
+                    grads[:0] = [layer._x.T @ d] + ([d.sum(axis=0)] if layer.b is not None else [])
                     d = d @ layer.w.T
                 elif isinstance(layer, BnLayer):
                     bundle = bn_backward(d, layer._cache, layer.params)
@@ -206,9 +209,26 @@ class TestFlatParameters:
         model = Mlp(MlpSpec(in_dim=5, hidden=(8, 6, 7), classes=3, bn_mode=mode, seed=2))
         for flat, side in ((model.theta, 0), (model.grad, 1)):
             views = [a for layer in model.layers for a in layer_arrays(layer)[side]]
-            assert len(views) == 2 * 4 + (2 * 3 if mode is not None else 0)
+            # BN: 3 hidden w, 3 (γ, β) pairs, head w and b; none: 4 (w, b) pairs
+            assert len(views) == (11 if mode is not None else 8)
             flat[:] = np.arange(flat.size)
             assert np.array_equal(np.concatenate([a.ravel() for a in views]), flat)
+
+    @pytest.mark.parametrize("mode", [*BnMode, None])
+    def test_hidden_dense_bias_only_without_bn(self, mode):
+        # BN's mean subtraction cancels a bias on its input, so a dense layer
+        # feeding BN has none; the head, and every layer of a net without BN, has one
+        spec = MlpSpec(in_dim=5, hidden=(8, 6, 7), classes=3, bn_mode=mode, seed=2)
+        model = Mlp(spec)
+        widths = (spec.in_dim, *spec.hidden, spec.classes)
+        weights = sum(fan_in * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+        per_hidden = 2 if mode is not None else 1
+        assert model.theta.size == model.grad.size == (weights + spec.classes
+                                                       + per_hidden * sum(spec.hidden))
+        *hidden, head = [layer for layer in model.layers if isinstance(layer, DenseLayer)]
+        for layer in hidden:
+            assert (layer.b is None) == (layer.db is None) == (mode is not None)
+        assert head.b.shape == head.db.shape == (spec.classes,)
 
     def test_sgd_on_theta_moves_layer_weights(self):
         model = Mlp(sanity_spec(BnMode.L2))
@@ -291,11 +311,9 @@ class TestForwardBackward:
             return out
 
         numeric = finite_diff(each(loss_at), model.theta, step=1e-6)
-        rel = relative_errors(grad, numeric)
-        # a dense bias feeding straight into BN is a dead parameter (the
-        # batch mean absorbs it): both gradients are ~0, compare absolutely
-        ok = (rel <= 1e-4) | (np.abs(grad - numeric) <= 1e-8)
-        assert np.all(ok)
+        # no entry is a dead parameter (the dense layer feeding BN has no
+        # bias), so every entry passes the relative test alone
+        assert np.all(relative_errors(grad, numeric) <= 1e-4)
 
     def test_l1_l2_gradients_same_shapes(self):
         rng = Rng(1)
@@ -349,6 +367,18 @@ class TestSyntheticTask:
         assert x1.shape == (40, 3) and xt1.shape == (20, 3)
         assert all(np.sum(y1 == k) == 10 for k in range(4))
         assert all(np.sum(yt1 == k) == 5 for k in range(4))
+
+    @pytest.mark.parametrize("name", ["classes", "dim", "train_per_class", "test_per_class"])
+    def test_rejects_a_count_below_one(self, name):
+        # test_per_class=0 would make every epoch's accuracy a NaN mean of no rows
+        with pytest.raises(ValueError, match=name):
+            SyntheticTask(**{name: 0})
+
+    def test_rejects_a_training_set_of_one_row(self):
+        # no batch could reach the 2 rows BN needs, so no step would run and
+        # the first eval would find BN's running statistics never updated
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            SyntheticTask(classes=1, train_per_class=1)
 
 
 class TestRunExperiment:
