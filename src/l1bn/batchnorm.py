@@ -48,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor import ShapeError, reduce_mean, reduce_sum, sign
+from .tensor import reduce_mean, reduce_sum, sign
 
 # std/MAD ratio of a Gaussian: sqrt(pi/2).
 GAUSSIAN_STD_OVER_MAD = math.sqrt(math.pi / 2.0)
@@ -56,22 +56,6 @@ GAUSSIAN_STD_OVER_MAD = math.sqrt(math.pi / 2.0)
 # float64s per operand in one row block (256 KB), so a block's chain of
 # elementwise passes runs in L2.
 BLOCK_ELEMS = 1 << 15
-
-
-class LayoutError(ValueError):
-    """Tensor rank is not one of the supported layouts."""
-
-
-class ModeError(ValueError):
-    """An L2 cache was fed to the term-by-term L1 backward."""
-
-
-class BatchSizeError(ValueError):
-    """Pooled sample count too small to form statistics."""
-
-
-class StateError(ValueError):
-    """Running statistics requested before any update."""
 
 
 class BnMode(Enum):
@@ -89,7 +73,7 @@ class BnMode(Enum):
 def rows(x: np.ndarray) -> np.ndarray:
     """The (N, c) view of a supported layout: one row per pooled sample, so N = |B|."""
     if x.ndim not in (2, 4):
-        raise LayoutError(f"expected rank 2 (m, d) or rank 4 (m, h, w, c), got rank {x.ndim}")
+        raise ValueError(f"expected rank 2 (m, d) or rank 4 (m, h, w, c), got rank {x.ndim}")
     return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
 
 
@@ -107,9 +91,9 @@ class BnParams:
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
         self.beta = np.asarray(self.beta, dtype=np.float64)
         if self.gamma.ndim != 1 or self.beta.ndim != 1:
-            raise ShapeError("gamma and beta must be 1-D per-feature vectors")
+            raise ValueError("gamma and beta must be 1-D per-feature vectors")
         if self.gamma.shape != self.beta.shape:
-            raise ShapeError(
+            raise ValueError(
                 f"gamma/beta length mismatch: {self.gamma.shape} vs {self.beta.shape}"
             )
         if not self.epsilon > 0.0:
@@ -149,7 +133,7 @@ class BnState:
         self.running_mu = np.asarray(self.running_mu, dtype=np.float64)
         self.running_sigma = np.asarray(self.running_sigma, dtype=np.float64)
         if self.running_mu.shape != self.running_sigma.shape:
-            raise ShapeError("running_mu/running_sigma length mismatch")
+            raise ValueError("running_mu/running_sigma length mismatch")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError(f"momentum must lie in [0, 1], got {self.momentum}")
 
@@ -203,7 +187,7 @@ def _row_blocks(*arrays: np.ndarray) -> Sequence[tuple[np.ndarray, ...]]:
 def _centre(x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pooled mean and a fresh (N, c) array of x - μ_B, from the rows view."""
     if len(x_rows) < 2:
-        raise BatchSizeError(f"need at least 2 pooled samples, got {len(x_rows)}")
+        raise ValueError(f"need at least 2 pooled samples, got {len(x_rows)}")
     mu = _mean_rows(x_rows)
     return mu, x_rows - mu
 
@@ -235,7 +219,7 @@ def _checked_rows(x: np.ndarray, params: BnParams) -> np.ndarray:
     """``rows(x)``, once its feature count is checked against the params."""
     x_rows = rows(x)
     if x_rows.shape[1] != params.num_features:
-        raise ShapeError(
+        raise ValueError(
             f"input has {x.shape[-1]} features but params carry {params.num_features}"
         )
     return x_rows
@@ -244,7 +228,7 @@ def _checked_rows(x: np.ndarray, params: BnParams) -> np.ndarray:
 def _check_upstream(d_y: np.ndarray, cache: BnCache) -> np.ndarray:
     d_y = np.asarray(d_y, dtype=np.float64)
     if d_y.shape != cache.x_hat.shape:
-        raise ShapeError(f"d_y shape {d_y.shape} != forward shape {cache.x_hat.shape}")
+        raise ValueError(f"d_y shape {d_y.shape} != forward shape {cache.x_hat.shape}")
     return d_y
 
 
@@ -335,7 +319,7 @@ def bn_backward_l1_naive(d_y: np.ndarray, cache: BnCache, params: BnParams) -> G
     one that matches the finite-difference oracle (and ``bn_backward``) exactly.
     """
     if cache.mode is BnMode.L2:
-        raise ModeError("L1 backward got an l2 cache")
+        raise ValueError("L1 backward got an l2 cache")
     d_y = _check_upstream(d_y, cache)
     dy, x_hat = rows(d_y), rows(cache.x_hat)
     g = dy * params.gamma if params.use_affine else dy
@@ -364,7 +348,7 @@ def update_running_stats(state: BnState, mu_b: np.ndarray,
     mu_b = np.asarray(mu_b, dtype=np.float64)
     sigma_b = np.asarray(sigma_b, dtype=np.float64)
     if mu_b.shape != state.running_mu.shape or sigma_b.shape != state.running_sigma.shape:
-        raise ShapeError("batch statistics length does not match running state")
+        raise ValueError("batch statistics length does not match running state")
     a = state.momentum
     for running, batch in ((state.running_mu, mu_b), (state.running_sigma, sigma_b)):
         running *= a
@@ -382,9 +366,9 @@ def bn_forward_infer(x: np.ndarray, params: BnParams, state: BnState) -> np.ndar
     x = np.asarray(x, dtype=np.float64)
     _checked_rows(x, params)
     if state.updates == 0:
-        raise StateError("running statistics were never updated")
+        raise ValueError("running statistics were never updated")
     if state.running_mu.shape[0] != params.num_features:
-        raise ShapeError("state feature count does not match params")
+        raise ValueError("state feature count does not match params")
     if params.mode is BnMode.L2:
         denom = np.sqrt(state.running_sigma * state.running_sigma + params.epsilon)
     else:

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,12 +38,15 @@ DEFAULT_SEED = 1234  # bare invocations are reproducible
 
 
 def _comma_list(choices: tuple[str, ...]):
-    """argparse type for a comma list drawn from ``choices``; keeps the text as given."""
+    """argparse type for a comma list of distinct values from ``choices``; keeps the text."""
     def parse(text: str) -> str:
-        unknown = [m for m in text.split(",") if m not in choices]
+        values = text.split(",")
+        unknown = [m for m in values if m not in choices]
         if unknown:
             raise argparse.ArgumentTypeError(
                 f"unknown value {','.join(unknown)!r} (choose from {','.join(choices)})")
+        if len(set(values)) < len(values):  # a repeat would run the same work twice
+            raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
         return text
     return parse
 
@@ -101,6 +105,8 @@ def _write_manifest(args: argparse.Namespace) -> None:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0 <= args.threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {args.threshold}")
     outdir = Path(args.outdir)
     modes = [BnMode(m) for m in args.modes.split(",")]
     layouts = args.layouts.split(",")

@@ -42,10 +42,6 @@ from .batchnorm import BnMode
 OP_NAMES = ("sign", "abs", "square", "root")
 
 
-class ArchParseError(ValueError):
-    """Malformed architecture file; message carries the line number."""
-
-
 @dataclass(frozen=True)
 class OpCost:
     registers: int
@@ -72,11 +68,14 @@ class OpCosts:
     def from_json(cls, path) -> "OpCosts":
         """Load overrides from JSON: {"sign": {"time_ns": ..., ...}, ...}.
 
-        Raises ValueError naming an unknown op or field, or a value that is not
-        a finite nonnegative number.
+        Raises ValueError, prefixed with ``path``, naming text that is not JSON,
+        an unknown op or field, or a value that is not a finite nonnegative number.
         """
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: expected a JSON object of per-op overrides, "
                              f"got a {type(raw).__name__}")
@@ -254,24 +253,24 @@ def parse_architecture(path) -> list[LayerShape]:
                 continue
             parts = line.split()
             if len(parts) != 6:
-                raise ArchParseError(
+                raise ValueError(
                     f"{path}:{lineno}: expected `name m h w c mode`, got {len(parts)} fields"
                 )
             name, m, h, w, c, mode = parts
             try:
                 dims = [int(v) for v in (m, h, w, c)]
             except ValueError as exc:
-                raise ArchParseError(f"{path}:{lineno}: non-integer dimension: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: non-integer dimension: {exc}") from None
             try:
                 bn_mode = BnMode(mode.lower())
             except ValueError:
-                raise ArchParseError(
+                raise ValueError(
                     f"{path}:{lineno}: unknown mode {mode!r} (expected l2, l1, or l1c)"
                 ) from None
             try:
                 layers.append(LayerShape(name, *dims, mode=bn_mode))
             except ValueError as exc:
-                raise ArchParseError(f"{path}:{lineno}: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not layers:
-        raise ArchParseError(f"{path}: no layers")
+        raise ValueError(f"{path}: no layers")
     return layers

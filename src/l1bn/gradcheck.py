@@ -46,10 +46,6 @@ class EvaluationError(ValueError):
         self.index = index
 
 
-class DegenerateInputError(ValueError):
-    """Could not draw a batch clear of the |x - μ| kink within the retry cap."""
-
-
 def finite_diff(f, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
     """Central-difference gradient of ``f`` at ``x``.
 
@@ -61,6 +57,8 @@ def finite_diff(f, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
+    if not np.isfinite(step):
+        raise ValueError(f"step must be positive and finite, got {step}")
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
     grad = np.empty_like(flat)
@@ -144,9 +142,7 @@ def draw_inputs(mode: BnMode, shape, rng: Rng) -> np.ndarray:
         x_rows = rows(x)
         if mode is BnMode.L2 or np.min(np.abs(x_rows - x_rows.mean(axis=0))) > TIE_MARGIN:
             return x
-    raise DegenerateInputError(
-        f"no tie-free batch of shape {tuple(shape)} in {MAX_RESAMPLES} draws"
-    )
+    raise ValueError(f"no tie-free batch of shape {tuple(shape)} in {MAX_RESAMPLES} draws")
 
 
 def check_layer(mode: BnMode, shape, seed: int = 0, step: float = DEFAULT_STEP) -> GradReport:

@@ -16,14 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode, batch_deviation, rows
-from .tensor import DomainError, Rng
+from .tensor import Rng
 
 HISTOGRAM_BINS = 50
 DEFAULT_BAND_HALF_WIDTH = 0.01
-
-
-class StatisticsError(ValueError):
-    """Too few pooled samples, or a channel whose deviation is zero or not finite: no ratio."""
 
 
 @dataclass
@@ -81,7 +77,7 @@ class RatioReport:
 
 def _report(x: np.ndarray, band_half_width: float) -> RatioReport:
     if not 0 <= band_half_width < math.inf:
-        raise DomainError(f"band half-width must be finite and >= 0, got {band_half_width}")
+        raise ValueError(f"band half-width must be finite and >= 0, got {band_half_width}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation raises below
         sigma_l2 = batch_deviation(x, BnMode.L2)
         sigma_l1 = batch_deviation(x, BnMode.L1)
@@ -90,7 +86,7 @@ def _report(x: np.ndarray, band_half_width: float) -> RatioReport:
     if undefined.size:
         k = undefined[0]
         what = "zero deviation" if finite[k] else "a non-finite deviation"
-        raise StatisticsError(f"channel {k} has {what}; its ratio is undefined")
+        raise ValueError(f"channel {k} has {what}; its ratio is undefined")
     ratios = sigma_l2 / sigma_l1
     mean_ratio = float(np.mean(ratios))
     gap = mean_ratio - GAUSSIAN_STD_OVER_MAD
@@ -113,9 +109,9 @@ def gaussian_ratio_trial(n: int, mu: float = 0.0, sigma: float = 1.0,
                          band_half_width: float = DEFAULT_BAND_HALF_WIDTH) -> RatioReport:
     """Draw n Gaussians and measure std / mean-absolute-deviation."""
     if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+        raise ValueError(f"sigma must be positive, got {sigma}")
     if n < 100:
-        raise StatisticsError(f"need at least 100 samples, got {n}")
+        raise ValueError(f"need at least 100 samples, got {n}")
     x = Rng(seed).normal((n, 1), mu, sigma)
     return _report(x, band_half_width)
 
@@ -124,7 +120,7 @@ def uniform_ratio_trial(n: int, seed: int = 0,
                         band_half_width: float = DEFAULT_BAND_HALF_WIDTH) -> RatioReport:
     """Non-Gaussian control: inputs uniform on [-1, 1) land at ratio 2/sqrt(3) ≈ 1.1547."""
     if n < 100:
-        raise StatisticsError(f"need at least 100 samples, got {n}")
+        raise ValueError(f"need at least 100 samples, got {n}")
     x = Rng(seed).uniform((n, 1), -1.0, 1.0)
     return _report(x, band_half_width)
 
@@ -135,7 +131,7 @@ def channelwise_ratio_map(x: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     pooled, features = rows(x).shape
     if features == 0:
-        raise StatisticsError(f"tensor of shape {x.shape} has no features")
+        raise ValueError(f"tensor of shape {x.shape} has no features")
     if pooled < 100:
-        raise StatisticsError(f"pooled count {pooled} < 100; ratios would be noise")
+        raise ValueError(f"pooled count {pooled} < 100; ratios would be noise")
     return _report(x, band_half_width)

@@ -12,14 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Operand shapes are inconsistent."""
-
-
-class DomainError(ValueError):
-    """Operand values lie outside an operation's domain."""
-
-
 @dataclass
 class Rng:
     """Deterministic random source: equal seeds yield identical sample streams."""
@@ -32,12 +24,12 @@ class Rng:
     def normal(self, shape, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         """I.i.d. Gaussian samples.  ``sigma=0`` degenerates to a constant tensor."""
         if sigma < 0:
-            raise DomainError(f"sigma must be nonnegative, got {sigma}")
+            raise ValueError(f"sigma must be nonnegative, got {sigma}")
         return self._gen.normal(loc=mu, scale=sigma, size=shape)
 
     def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         if high < low:
-            raise DomainError(f"empty interval [{low}, {high})")
+            raise ValueError(f"empty interval [{low}, {high})")
         return self._gen.uniform(low=low, high=high, size=shape)
 
     def permutation(self, n: int) -> np.ndarray:

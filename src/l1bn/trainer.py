@@ -362,6 +362,8 @@ def parity_gap(task: SyntheticTask, spec_template: MlpSpec, config: SgdConfig,
     of the deviation metric.  Each run's record is returned by mode under
     ``records``, in seed order.
     """
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     records = {}
     for mode in (BnMode.L2, BnMode.L1):
         records[mode.value] = [

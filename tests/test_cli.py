@@ -234,6 +234,7 @@ class TestCostCommand:
         ('{"sign": {"time_ns": NaN}}', "nan"),
         ('{"sign": {"time_ns": -1}}', "sign.time_ns"),
         ('{"sign": 3}', "3"),
+        ('{"sign": {"time_ns": 1}\n"abs": 2}', "Expecting ',' delimiter: line 2 column 1"),
     ])
     def test_malformed_costs_exit_one(self, tmp_path, capsys, payload, named):
         arch = tmp_path / "net.arch"
@@ -244,7 +245,7 @@ class TestCostCommand:
         assert main(["cost", "--arch", str(arch), "--costs", str(costs),
                      "--outdir", str(outdir)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("cost: ") and named in err
+        assert err.startswith(f"cost: {costs}: ") and named in err
         assert not outdir.exists()
 
 
@@ -383,6 +384,14 @@ class TestOneLineErrors:
     @pytest.mark.parametrize("argv, line", [
         (["gradcheck", "--step", "1e308"],
          "gradcheck: non-finite probe value near gamma (0,)"),
+        (["gradcheck", "--step", "nan"], "gradcheck: step must be positive and finite, got nan"),
+        (["gradcheck", "--step", "inf"], "gradcheck: step must be positive and finite, got inf"),
+        (["gradcheck", "--threshold", "nan"],
+         "gradcheck: threshold must be finite and >= 0, got nan"),
+        (["gradcheck", "--threshold", "-1"],
+         "gradcheck: threshold must be finite and >= 0, got -1.0"),
+        (["gradcheck", "--threshold", "inf"],
+         "gradcheck: threshold must be finite and >= 0, got inf"),
         (["ratio", "--channel-map", "--sigma", "0"],
          "ratio: channel 0 has zero deviation; its ratio is undefined"),
         (["cost", "--arch", "{empty}"], "cost: {empty}: no layers"),
@@ -393,8 +402,9 @@ class TestOneLineErrors:
         (["ratio", "--sigma", "inf"], NON_FINITE),
         (["ratio", "--channel-map", "--mu", "nan"], NON_FINITE),
         (["ratio", "--band", "-1"], "ratio: band half-width must be finite and >= 0, got -1.0"),
-    ], ids=["gradcheck-overflow", "ratio-constant-channel", "cost-no-layers",
-            "cost-missing-arch", "ratio-mu-inf",
+    ], ids=["gradcheck-overflow", "gradcheck-step-nan", "gradcheck-step-inf",
+            "gradcheck-threshold-nan", "gradcheck-negative-threshold", "gradcheck-threshold-inf",
+            "ratio-constant-channel", "cost-no-layers", "cost-missing-arch", "ratio-mu-inf",
             "ratio-mu-nan", "ratio-sigma-inf", "ratio-channel-map-mu-nan", "ratio-negative-band"])
     def test_exit_one_with_one_stderr_line(self, tmp_path, argv, line):
         paths = {"empty": write_arch(tmp_path, "empty.arch", ["# no layers here"]),
@@ -440,6 +450,9 @@ class TestUsage:
         ["ratio", "--channel-map", "--height", "0"],
         ["ratio", "--channel-map", "--width", "0"],
         ["ratio", "--channel-map", "--channels", "0"],
+        ["gradcheck", "--modes", "l2,l2"],
+        ["gradcheck", "--layouts", "2d,4d,2d"],
+        ["train", "--modes", "l2,l1,l2"],
     ])
     def test_bad_option_value_is_usage_error(self, argv, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from l1bn.batchnorm import BnMode
 from l1bn.costmodel import (
-    ArchParseError,
     LayerShape,
     OpCost,
     OpCosts,
@@ -178,19 +177,19 @@ class TestArchitectureFile:
     def test_field_count_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.arch"
         path.write_text("fc1 256 1 1 100 l2\nbroken 1 2\n")
-        with pytest.raises(ArchParseError, match=":2:"):
+        with pytest.raises(ValueError, match=":2: expected `name m h w c mode`, got 3 fields"):
             parse_architecture(path)
 
     def test_non_integer_dimension(self, tmp_path):
         path = tmp_path / "bad.arch"
         path.write_text("fc1 x 1 1 100 l2\n")
-        with pytest.raises(ArchParseError, match=":1:"):
+        with pytest.raises(ValueError, match=":1: non-integer dimension"):
             parse_architecture(path)
 
     def test_unknown_mode(self, tmp_path):
         path = tmp_path / "bad.arch"
         path.write_text("fc1 4 1 1 2 l3\n")
-        with pytest.raises(ArchParseError, match="unknown mode"):
+        with pytest.raises(ValueError, match=":1: unknown mode 'l3'"):
             parse_architecture(path)
 
     def test_mode_is_case_insensitive(self, tmp_path):
@@ -202,7 +201,7 @@ class TestArchitectureFile:
         # modes are BnMode's values; the long name is not one
         path = tmp_path / "bad.arch"
         path.write_text("fc1 4 1 1 2 l1-compensated\n")
-        with pytest.raises(ArchParseError, match=":1:"):
+        with pytest.raises(ValueError, match=":1: unknown mode 'l1-compensated'"):
             parse_architecture(path)
 
     @pytest.mark.parametrize("text", ["", "\n", "# only a comment\n\n  # another\n"],
@@ -210,12 +209,12 @@ class TestArchitectureFile:
     def test_no_layers_flagged(self, tmp_path, text):
         path = tmp_path / "empty.arch"
         path.write_text(text)
-        with pytest.raises(ArchParseError) as exc:
+        with pytest.raises(ValueError) as exc:
             parse_architecture(path)
         assert str(exc.value) == f"{path}: no layers"
 
     def test_nonpositive_dimension_flagged(self, tmp_path):
         path = tmp_path / "bad.arch"
         path.write_text("fc1 0 1 1 2 l2\n")
-        with pytest.raises(ArchParseError, match=":1:"):
+        with pytest.raises(ValueError, match=":1: layer 'fc1': all dimensions must be positive"):
             parse_architecture(path)

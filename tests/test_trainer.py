@@ -485,6 +485,14 @@ class TestParity:
         assert summary["mean_acc_l2"] == summary["mean_acc_l1"] == 0.9000000000000001
         assert summary["gap_pp"] == 0.0
 
+    def test_no_seeds_rejected_before_any_run(self, monkeypatch):
+        def fake_run(task, spec, config):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(trainer, "run_experiment", fake_run)
+        with pytest.raises(ValueError, match="^seeds must not be empty$"):
+            parity_gap(SANITY_TASK, sanity_spec(BnMode.L2), SANITY_CFG, seeds=())
+
 
 class TestSpecValidation:
     def test_needs_hidden_layer(self):
