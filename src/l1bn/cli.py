@@ -31,7 +31,7 @@ from .ratio import (
     uniform_ratio_trial,
 )
 from .tensor import Rng
-from .trainer import MlpSpec, SgdConfig, SyntheticTask, parity_gap, run_experiment
+from .trainer import MlpSpec, SgdConfig, SyntheticTask, parity_gap
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1234  # bare invocations are reproducible
@@ -137,8 +137,9 @@ def cmd_gradcheck(args) -> int:
 def cmd_ratio(args) -> int:
     outdir = Path(args.outdir)
     if args.channel_map:
-        x = Rng(args.seed).normal((args.m, args.height, args.width, args.channels),
-                                  args.mu, args.sigma)
+        shape, rng = (args.m, args.height, args.width, args.channels), Rng(args.seed)
+        x = (rng.normal(shape, args.mu, args.sigma) if args.dist == "gaussian"
+             else rng.uniform(shape, -1.0, 1.0))
         report = channelwise_ratio_map(x, band_half_width=args.band)
     elif args.dist == "gaussian":
         report = gaussian_ratio_trial(args.n, args.mu, args.sigma, seed=args.seed,
@@ -174,40 +175,27 @@ _PRESETS = {
 
 
 def cmd_train(args) -> int:
+    tolerance = args.parity_tolerance_pp
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"parity tolerance must be finite and >= 0, got {tolerance}")
     outdir = Path(args.outdir)
     task, hidden, config = _PRESETS[args.preset]
     if args.epochs is not None:
         config = dataclasses.replace(config, epochs=args.epochs)
+    names = args.modes.split(",")
     _write_manifest(args)
-    curve_header = ["epoch", "train_loss", "train_acc", "test_acc"]
-    if args.preset == "parity":
-        template = MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes)
-        summary = parity_gap(task, template, config,
-                             seeds=tuple(args.seed + k for k in range(args.runs)))
-        for mode, records in summary.pop("records").items():
-            for rec in records:
-                _write_csv(outdir / f"{mode}_seed{rec.seed}.csv", curve_header, rec.rows())
-        _write_json(outdir / "summary.json", summary)
-        print(f"parity: mean acc L2={summary['mean_acc_l2']:.4f} "
-              f"L1={summary['mean_acc_l1']:.4f} gap={summary['gap_pp']:.2f}pp")
-        return 0 if summary["gap_pp"] <= args.parity_tolerance_pp else 1
-    # sanity: one run per requested mode
-    records = {}
-    for name in args.modes.split(","):
-        mode = None if name == "none" else BnMode(name)
-        spec = MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes,
-                       bn_mode=mode, seed=args.seed)
-        rec = run_experiment(dataclasses.replace(task, seed=args.seed), spec, config)
-        records[name] = rec
-        _write_csv(outdir / f"{name}_seed{args.seed}.csv", curve_header, rec.rows())
-        print(f"train {name:>4}: final test acc {rec.final_test_acc:.4f} "
-              f"({'diverged' if rec.diverged else 'ok'})")
-    _write_json(outdir / "summary.json", {
-        "preset": args.preset,
-        "final_test_acc": {k: r.final_test_acc for k, r in records.items()},
-        "diverged": {k: r.diverged for k, r in records.items()},
-    })
-    return 0
+    summary = parity_gap(task, MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes),
+                         config, seeds=tuple(args.seed + k for k in range(args.runs)),
+                         modes=tuple(None if m == "none" else BnMode(m) for m in names))
+    for mode, records in summary.pop("records").items():
+        for rec in records:
+            _write_csv(outdir / f"{mode}_seed{rec.seed}.csv",
+                       ["epoch", "train_loss", "train_acc", "test_acc"], rec.rows())
+    _write_json(outdir / "summary.json", summary)
+    means = " ".join(f"{m.upper()}={summary[f'mean_acc_{m}']:.4f}" for m in names)
+    gap = f" gap={summary['gap_pp']:.2f}pp" if "gap_pp" in summary else ""
+    print(f"{args.preset}: mean acc {means}{gap}")
+    return 1 if summary.get("gap_pp", 0.0) > tolerance else 0
 
 
 def cmd_cost(args) -> int:
@@ -284,12 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=tuple(_PRESETS), default="sanity")
     p.add_argument("--modes", type=_comma_list((*(m.value for m in BnMode), "none")),
                    default="l2,l1",
-                   help="comma list of l2,l1,l1c,none (sanity preset)")
+                   help="comma list of l2,l1,l1c,none")
     p.add_argument("--runs", type=_positive_int, default=5,
-                   help="seeds per mode (parity preset)")
+                   help="seeds per mode, from --seed up")
     p.add_argument("--epochs", type=_positive_int, default=None,
                    help="override preset epochs")
-    p.add_argument("--parity-tolerance-pp", type=float, default=2.0)
+    p.add_argument("--parity-tolerance-pp", type=float, default=2.0,
+                   help="largest L1 vs L2 mean-accuracy gap that exits 0 (when both run)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--outdir", default="runs/train")
     p.set_defaults(func=cmd_train)

@@ -68,13 +68,14 @@ class OpCosts:
     def from_json(cls, path) -> "OpCosts":
         """Load overrides from JSON: {"sign": {"time_ns": ..., ...}, ...}.
 
-        Raises ValueError, prefixed with ``path``, naming text that is not JSON,
-        an unknown op or field, or a value that is not a finite nonnegative number.
+        Raises ValueError, prefixed with ``path``, naming bytes that are not UTF-8,
+        text that is not JSON, an unknown op or field, or a value that is not a
+        finite nonnegative number.
         """
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValueError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: expected a JSON object of per-op overrides, "
@@ -242,12 +243,16 @@ def model_report(layers: list[LayerShape], costs: OpCosts = OpCosts(),
 def parse_architecture(path) -> list[LayerShape]:
     """Read a flat architecture file: one layer per line, `name m h w c mode`.
 
-    Blank lines and `#` comments are skipped.  Errors carry the line number; a
-    file with no layer line is an error too.
+    Blank lines and `#` comments are skipped.  Errors carry the path and, past
+    decoding, the line number; a file with no layer line is an error too.
     """
     layers = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -355,33 +355,32 @@ def run_experiment(task: SyntheticTask, spec: MlpSpec,
 
 
 def parity_gap(task: SyntheticTask, spec_template: MlpSpec, config: SgdConfig,
-               seeds: tuple[int, ...] = (0, 1, 2, 3, 4)) -> dict:
-    """Mean final test accuracy of L1 vs L2 over matched seeds.
+               seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
+               modes: tuple[BnMode | None, ...] = (BnMode.L2, BnMode.L1)) -> dict:
+    """Final test accuracy of each mode over matched seeds, and the L1 vs L2 gap.
 
     Everything except the norm is held fixed, so the gap isolates the effect
-    of the deviation metric.  Each run's record is returned by mode under
-    ``records``, in seed order.
+    of the deviation metric.  A mode of None trains without BN and is keyed
+    ``"none"``.  For each mode ``m`` the result holds ``acc_m``, ``mean_acc_m``
+    and ``diverged_m`` in seed order, and each run's record under
+    ``records[m]``; ``gap_pp`` is there only when both L2 and L1 ran.
     """
     if not seeds:
         raise ValueError("seeds must not be empty")
-    records = {}
-    for mode in (BnMode.L2, BnMode.L1):
-        records[mode.value] = [
+    summary, records = {"seeds": list(seeds)}, {}
+    for mode in modes:
+        name = mode.value if mode is not None else "none"
+        records[name] = [
             run_experiment(dataclasses.replace(task, seed=seed),
                            dataclasses.replace(spec_template, bn_mode=mode, seed=seed),
                            config)
             for seed in seeds
         ]
-    accs = {mode: [rec.final_test_acc for rec in recs] for mode, recs in records.items()}
-    # sequential sum, not np.mean: the two round differently from eight seeds on
-    mean_l2 = sum(accs["l2"]) / len(accs["l2"])
-    mean_l1 = sum(accs["l1"]) / len(accs["l1"])
-    return {
-        "seeds": list(seeds),
-        "acc_l2": accs["l2"],
-        "acc_l1": accs["l1"],
-        "mean_acc_l2": mean_l2,
-        "mean_acc_l1": mean_l1,
-        "gap_pp": abs(mean_l2 - mean_l1) * 100.0,
-        "records": records,
-    }
+        summary[f"acc_{name}"] = [rec.final_test_acc for rec in records[name]]
+        # sequential sum, not np.mean: the two round differently from eight seeds on
+        summary[f"mean_acc_{name}"] = sum(summary[f"acc_{name}"]) / len(seeds)
+        summary[f"diverged_{name}"] = [rec.diverged for rec in records[name]]
+    if "l2" in records and "l1" in records:
+        summary["gap_pp"] = abs(summary["mean_acc_l2"] - summary["mean_acc_l1"]) * 100.0
+    summary["records"] = records
+    return summary

@@ -101,11 +101,13 @@ class TestRatioCommand:
         assert csv_lines[0] == "channel,sigma_l2,sigma_l1,ratio"
         assert len(csv_lines) == 2
 
-    def test_uniform_control_flagged(self, tmp_path):
+    @pytest.mark.parametrize("source", [["--n", "50000"], ["--channel-map"]],
+                             ids=["stream", "channel-map"])
+    def test_uniform_control_flagged(self, tmp_path, source):
         outdir = tmp_path / "ratio"
-        assert main(["ratio", "--dist", "uniform", "--n", "50000",
-                     "--outdir", str(outdir)]) == 0
+        assert main(["ratio", "--dist", "uniform", *source, "--outdir", str(outdir)]) == 0
         summary = read_json(outdir / "summary.json")
+        assert abs(summary["mean_ratio"] - 2 / math.sqrt(3)) <= 0.01
         assert summary["in_gaussian_band"] is False
 
     def test_channel_map(self, tmp_path):
@@ -129,8 +131,8 @@ class TestTrainCommand:
         outdir = tmp_path / "train"
         assert main(["train", "--preset", "sanity", "--outdir", str(outdir)]) == 0
         summary = read_json(outdir / "summary.json")
-        assert summary["final_test_acc"]["l2"] >= 0.99
-        assert summary["final_test_acc"]["l1"] >= 0.99
+        assert min(summary["acc_l2"]) >= 0.99
+        assert min(summary["acc_l1"]) >= 0.99
         csv_lines = (outdir / "l2_seed1234.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "epoch,train_loss,train_acc,test_acc"
         assert len(csv_lines) == 16  # header + 15 epochs
@@ -145,7 +147,8 @@ class TestTrainCommand:
         assert (outdir / "l1_seed1234.csv").exists()
         assert (outdir / "l2_seed1235.csv").exists()
 
-    def test_parity_csvs_come_from_parity_gap_records(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("preset", ["sanity", "parity"])
+    def test_parity_csvs_come_from_parity_gap_records(self, tmp_path, monkeypatch, preset):
         captured, parity_gap = {}, cli.parity_gap
 
         def recording_parity_gap(*args, **kwargs):
@@ -155,7 +158,7 @@ class TestTrainCommand:
 
         monkeypatch.setattr(cli, "parity_gap", recording_parity_gap)
         outdir = tmp_path / "train"
-        main(["train", "--preset", "parity", "--runs", "2", "--epochs", "1",
+        main(["train", "--preset", preset, "--runs", "2", "--epochs", "1",
               "--outdir", str(outdir)])
         assert set(captured) == {"l2", "l1"}
         for mode, records in captured.items():
@@ -174,7 +177,34 @@ class TestTrainCommand:
         assert main(["train", "--preset", "sanity", "--modes", "none,l1c",
                      "--outdir", str(outdir)]) == 0
         summary = read_json(outdir / "summary.json")
-        assert set(summary["final_test_acc"]) == {"none", "l1c"}
+        assert {k[len("acc_"):] for k in summary if k.startswith("acc_")} == {"none", "l1c"}
+
+    def test_modes_apply_to_parity_preset(self, tmp_path, capsys):
+        outdir = tmp_path / "train"
+        assert main(["train", "--preset", "parity", "--modes", "l1c", "--runs", "1",
+                     "--epochs", "1", "--outdir", str(outdir)]) == 0
+        assert sorted(p.name for p in outdir.glob("*.csv")) == ["l1c_seed1234.csv"]
+        summary = read_json(outdir / "summary.json")
+        assert "gap_pp" not in summary
+        assert set(summary) >= {"acc_l1c", "mean_acc_l1c", "diverged_l1c"}
+        assert capsys.readouterr().out.startswith("parity: mean acc L1C=")
+
+    def test_runs_apply_to_sanity_preset(self, tmp_path):
+        outdir = tmp_path / "train"
+        assert main(["train", "--preset", "sanity", "--runs", "2",
+                     "--outdir", str(outdir)]) == 0
+        assert sorted(p.name for p in outdir.glob("*.csv")) == [
+            "l1_seed1234.csv", "l1_seed1235.csv", "l2_seed1234.csv", "l2_seed1235.csv"]
+        assert read_json(outdir / "summary.json")["seeds"] == [1234, 1235]
+
+    @pytest.mark.parametrize("argv, seeds", [
+        (["--preset", "sanity", "--runs", "2"], (1234, 1235)),
+        (["--preset", "parity", "--runs", "1", "--epochs", "1"], (1234,)),
+    ], ids=["sanity", "parity"])
+    def test_outputs_bit_identical_across_runs(self, tmp_path, argv, seeds):
+        names = [f"{m}_seed{seed}.csv" for m in ("l2", "l1") for seed in seeds]
+        run_twice_compare(lambda d: ["train", *argv, "--outdir", d], tmp_path,
+                          names + ["summary.json"])
 
 
 class TestCostCommand:
@@ -235,12 +265,13 @@ class TestCostCommand:
         ('{"sign": {"time_ns": -1}}', "sign.time_ns"),
         ('{"sign": 3}', "3"),
         ('{"sign": {"time_ns": 1}\n"abs": 2}', "Expecting ',' delimiter: line 2 column 1"),
+        (b'{"sign": \xff}', "'utf-8' codec can't decode byte 0xff in position 9"),
     ])
     def test_malformed_costs_exit_one(self, tmp_path, capsys, payload, named):
         arch = tmp_path / "net.arch"
         arch.write_text("fc1 16 1 1 4 l2\n")
         costs = tmp_path / "costs.json"
-        costs.write_text(payload)
+        costs.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
         outdir = tmp_path / "cost"
         assert main(["cost", "--arch", str(arch), "--costs", str(costs),
                      "--outdir", str(outdir)]) == 1
@@ -402,13 +433,26 @@ class TestOneLineErrors:
         (["ratio", "--sigma", "inf"], NON_FINITE),
         (["ratio", "--channel-map", "--mu", "nan"], NON_FINITE),
         (["ratio", "--band", "-1"], "ratio: band half-width must be finite and >= 0, got -1.0"),
+        (["train", "--parity-tolerance-pp", "nan"],
+         "train: parity tolerance must be finite and >= 0, got nan"),
+        (["train", "--parity-tolerance-pp", "-1"],
+         "train: parity tolerance must be finite and >= 0, got -1.0"),
+        (["train", "--parity-tolerance-pp", "inf"],
+         "train: parity tolerance must be finite and >= 0, got inf"),
+        (["cost", "--arch", "{latin1}"],
+         "cost: {latin1}: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+         "invalid continuation byte"),
     ], ids=["gradcheck-overflow", "gradcheck-step-nan", "gradcheck-step-inf",
             "gradcheck-threshold-nan", "gradcheck-negative-threshold", "gradcheck-threshold-inf",
             "ratio-constant-channel", "cost-no-layers", "cost-missing-arch", "ratio-mu-inf",
-            "ratio-mu-nan", "ratio-sigma-inf", "ratio-channel-map-mu-nan", "ratio-negative-band"])
+            "ratio-mu-nan", "ratio-sigma-inf", "ratio-channel-map-mu-nan", "ratio-negative-band",
+            "train-tolerance-nan", "train-negative-tolerance", "train-tolerance-inf",
+            "cost-arch-not-utf8"])
     def test_exit_one_with_one_stderr_line(self, tmp_path, argv, line):
+        latin1 = tmp_path / "latin1.arch"
+        latin1.write_bytes("conv_\u00e9 32 8 8 16 l1\n".encode("latin-1"))
         paths = {"empty": write_arch(tmp_path, "empty.arch", ["# no layers here"]),
-                 "missing": str(tmp_path / "missing.arch")}
+                 "missing": str(tmp_path / "missing.arch"), "latin1": str(latin1)}
         proc = subprocess.run(
             [sys.executable, "-m", "l1bn.cli", *(a.format(**paths) for a in argv),
              "--outdir", str(tmp_path / "out")],
@@ -417,6 +461,7 @@ class TestOneLineErrors:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [line.format(**paths)]
         assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsage:

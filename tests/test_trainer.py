@@ -485,6 +485,21 @@ class TestParity:
         assert summary["mean_acc_l2"] == summary["mean_acc_l1"] == 0.9000000000000001
         assert summary["gap_pp"] == 0.0
 
+    def test_modes_keyed_by_name_and_gap_only_for_l2_and_l1(self, monkeypatch):
+        def fake_run(task, spec, config):
+            return TrainingRecord(mode="?", seed=spec.seed, final_test_acc=0.5,
+                                  diverged=spec.bn_mode is None)
+
+        monkeypatch.setattr(trainer, "run_experiment", fake_run)
+        summary = parity_gap(SANITY_TASK, sanity_spec(BnMode.L2), SANITY_CFG,
+                             seeds=(3, 4), modes=(None, BnMode.L1_COMPENSATED))
+        assert set(summary.pop("records")) == {"none", "l1c"}
+        assert summary == {"seeds": [3, 4],
+                           "acc_none": [0.5, 0.5], "mean_acc_none": 0.5,
+                           "diverged_none": [True, True],
+                           "acc_l1c": [0.5, 0.5], "mean_acc_l1c": 0.5,
+                           "diverged_l1c": [False, False]}
+
     def test_no_seeds_rejected_before_any_run(self, monkeypatch):
         def fake_run(task, spec, config):
             raise AssertionError("a run started")
