@@ -1,0 +1,294 @@
+"""Hash what the library and its CLI produce, to show that a change moves no byte.
+
+Three groups of work run in-process, from a fresh temporary directory unless
+``--workdir`` names one (a directory used before is rewritten in place):
+
+- ``cli``: every subcommand's valid runs and error cases, usage errors
+  included, on copies of ``scripts/*.arch`` and on small files written here;
+- ``train``: both presets at ``--runs 1 --epochs 2``, one run over every mode
+  and one run that fails its parity gate;
+- ``kernel``: forward, both backwards, running statistics and inference for
+  each mode x affine on/off x 2-D/4-D shape, with one channel held at 0.1 and
+  one at 3.0, then again with a NaN in a third channel.
+
+An invocation's digest covers its exit code, stdout, stderr and every file it
+wrote, with ``outdir`` dropped from ``manifest.json``.  The script prints one
+JSON object: a SHA-256 per invocation, per group and overall.  No golden digest
+is kept, since matmul bits depend on the BLAS build: compare two checkouts on
+one machine instead.
+
+    PYTHONPATH=src python3 scripts/fingerprint.py [--workdir DIR]
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import shutil
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from l1bn.batchnorm import (
+    BnMode,
+    BnParams,
+    BnState,
+    bn_backward,
+    bn_backward_l1_naive,
+    bn_forward_infer,
+    bn_forward_train,
+    update_running_stats,
+)
+from l1bn import cli
+from l1bn.tensor import Rng
+
+SCRIPTS = Path(__file__).resolve().parent
+ARCH_FILES = ("sample.arch", "deep_cnn.arch", "mlp.arch")
+
+# (shape, seed) of each gradcheck call one `perfbench` validate round makes
+GRAD_CASES = (
+    [((5, 2), s) for s in range(5)]
+    + [((7, 3), 100 + s) for s in range(5)]
+    + [((16, 8), 200 + s) for s in range(5)]
+    + [((4, 3, 3, 2), 300 + s) for s in range(3)]
+    + [((6, 2, 2, 4), 400 + s) for s in range(2)]
+)
+GAUSSIAN_PAIRS = ((0.0, 1.0), (5.0, 3.0), (-2.0, 0.5), (10.0, 0.1), (3.0, 7.0))
+
+# Input files the error cases read, written into the work directory.
+INPUT_FILES = {
+    "empty.arch": b"# no layers here\n",
+    "short.arch": b"fc1 256 1 1\n",
+    "nonint.arch": b"fc1 x 1 1 100\n",
+    "zero.arch": b"fc1 0 1 1 2\n",
+    "moded.arch": b"fc1 16 1 1 4 l2\n",
+    "latin1.arch": "conv_\u00e9 32 8 8 16\n".encode("latin-1"),
+    "costs.json": b'{"square": {"time_ns": 6.0}, "sign": {"power_uw": 3.0}}',
+    "root_costs.json": b'{"root": {"time_ns": 14.0, "power_uw": 20.0}}',
+    "typo_op.json": b'{"sqaure": {"time_ns": 6}}',
+    "list.json": b'[{"square": {"time_ns": 6}}]',
+    "bogus_field.json": b'{"sign": {"bogus": 1}}',
+    "old_field.json": b'{"sign": {"registers": 1}}',
+    "string.json": b'{"sign": {"time_ns": "x"}}',
+    "bool.json": b'{"sign": {"time_ns": true}}',
+    "nan.json": b'{"sign": {"time_ns": NaN}}',
+    "negative.json": b'{"sign": {"time_ns": -1}}',
+    "not_object.json": b'{"sign": 3}',
+    "not_json.json": b'{"sign": {"time_ns": 1}\n"abs": 2}',
+    "not_utf8.json": b'{"sign": \xff}',
+    "zero_time.json": b'{"sign": {"time_ns": 0}, "abs": {"time_ns": 0}}',
+    "zero_power.json": b'{"square": {"power_uw": 0}}',
+}
+
+
+def _shape_args(shape) -> list[str]:
+    if len(shape) == 2:
+        return ["--layouts", "2d", "--m", str(shape[0]), "--d", str(shape[1])]
+    m, h, w, c = shape
+    return ["--layouts", "4d", "--m", str(m), "--height", str(h), "--width", str(w),
+            "--channels", str(c)]
+
+
+def cli_invocations() -> list[list[str]]:
+    """Every argv of the ``cli`` group, valid runs first, then the failing ones."""
+    runs = [["gradcheck", "--modes", "l2,l1,l1c", *_shape_args(shape), "--seed", str(seed)]
+            for shape, seed in GRAD_CASES]
+    runs += [["ratio", f"--mu={mu}", f"--sigma={sigma}", "--seed", str(i)]
+             for i, (mu, sigma) in enumerate(GAUSSIAN_PAIRS)]
+    runs += [
+        ["ratio", "--dist", "uniform", "--seed", "5"],
+        ["ratio", "--channel-map", "--seed", "6"],
+        ["ratio", "--channel-map", "--dist", "uniform", "--channels", "4"],
+        ["ratio", "--n", "5000", "--band", "0.5"],
+        ["gradcheck"],
+        ["gradcheck", "--layouts", "2d,4d"],
+        ["gradcheck", "--modes", "l1", "--step", "1e-5"],
+        ["gradcheck", "--modes", "l2", "--step", "3e-7", "--threshold", "1e-4"],
+        # pooled count 128: the L1 modes land just above 1e-5, so this exits 1
+        ["gradcheck", "--layouts", "2d,4d", "--m", "16", "--d", "16", "--height", "4",
+         "--width", "4", "--channels", "8"],
+        ["gradcheck", "--threshold", "1e-12"],
+    ]
+    for arch in ARCH_FILES:
+        runs += [["cost", "--arch", arch], ["cost", "--arch", arch, "--include-root"]]
+    runs += [
+        ["cost", "--arch", "sample.arch", "--costs", "costs.json"],
+        ["cost", "--arch", "sample.arch", "--costs", "costs.json", "--include-root"],
+        ["cost", "--arch", "sample.arch", "--costs", "root_costs.json", "--include-root"],
+    ]
+    # exit 1: one line on stderr, no output directory
+    runs += [
+        ["gradcheck", "--step", "1e308"],
+        ["gradcheck", "--step", "nan"],
+        ["gradcheck", "--step", "inf"],
+        ["gradcheck", "--step", "0"],
+        ["gradcheck", "--threshold", "nan"],
+        ["gradcheck", "--threshold", "-1"],
+        ["gradcheck", "--threshold", "inf"],
+        ["gradcheck", "--m", "1"],
+        ["ratio", "--channel-map", "--sigma", "0"],
+        ["ratio", "--mu", "inf"],
+        ["ratio", "--mu", "nan"],
+        ["ratio", "--sigma", "inf"],
+        ["ratio", "--channel-map", "--mu", "nan"],
+        ["ratio", "--band", "-1"],
+        ["ratio", "--n", "50"],
+        ["cost", "--arch", "missing.arch"],
+        ["cost", "--arch", "sample.arch", "--costs", "missing.json"],
+    ]
+    runs += [["cost", "--arch", name] for name in INPUT_FILES if name.endswith(".arch")]
+    runs += [["cost", "--arch", "sample.arch", "--costs", name]
+             for name in INPUT_FILES if name.endswith(".json")
+             and name not in ("costs.json", "root_costs.json")]
+    # exit 2: usage errors
+    runs += [
+        [],
+        ["frobnicate"],
+        ["gradcheck", "--bogus"],
+        ["gradcheck", "--modes", "l3"],
+        ["gradcheck", "--modes", "l1,,l2"],
+        ["gradcheck", "--modes", "l2,l2"],
+        ["gradcheck", "--layouts", "2d,3d"],
+        ["gradcheck", "--m", "0"],
+        ["gradcheck", "--layouts", "4d", "--d", "4"],
+        ["gradcheck", "--height", "4"],
+        ["ratio", "--n", "0"],
+        ["ratio", "--dist", "uniform", "--mu", "1"],
+        ["ratio", "--dist", "uniform", "--sigma", "2"],
+        ["ratio", "--channel-map", "--n", "1000"],
+        ["ratio", "--channels", "4"],
+        ["train", "--modes", "l3"],
+        ["train", "--modes", "l2,l1,l2"],
+        ["train", "--runs", "0"],
+        ["train", "--epochs", "0"],
+        ["train", "--parity-tolerance-pp", "nan"],
+        ["cost"],
+    ]
+    return runs
+
+
+TRAIN_INVOCATIONS = [
+    ["train", "--preset", "sanity", "--runs", "1", "--epochs", "2"],
+    ["train", "--preset", "parity", "--runs", "1", "--epochs", "2"],
+    ["train", "--preset", "sanity", "--modes", "l2,l1,l1c,none", "--runs", "1", "--epochs", "2"],
+    ["train", "--preset", "parity", "--runs", "1", "--epochs", "1",
+     "--parity-tolerance-pp", "0"],
+]
+
+
+def _digest(*parts: bytes) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def _outputs(outdir: Path) -> list[bytes]:
+    """Name and bytes of every file under ``outdir``, the manifest without ``outdir``."""
+    parts = []
+    for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            manifest["options"].pop("outdir", None)
+            data = json.dumps(manifest, indent=2, sort_keys=True).encode()
+        parts += [path.relative_to(outdir).as_posix().encode(), data]
+    return parts
+
+
+def run_cli(argv: list[str], outdir: str) -> str:
+    """Digest of one in-process CLI call: exit code, stdout, stderr and outputs."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv + ["--outdir", outdir])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    outputs = _outputs(Path(outdir)) if Path(outdir).is_dir() else []
+    return _digest(str(code).encode(), out.getvalue().encode(), err.getvalue().encode(),
+                   *outputs)
+
+
+# One block, one row per block (c > BLOCK_ELEMS), one block and two blocks.
+KERNEL_SHAPES = ((16, 8), (3, 33000), (4, 3, 3, 8), (16, 8, 8, 64))
+
+
+def kernel_arrays(shape, mode: BnMode, affine: bool, nan: bool) -> list[np.ndarray]:
+    """Every array one training step and one inference call give for this case."""
+    rng = Rng(sum(shape) + 7 * list(BnMode).index(mode))
+    c = shape[-1]
+    x = rng.normal(shape, 0.5, 2.0)
+    x[..., 1], x[..., 2] = 0.1, 3.0  # constant channels; a mean of 0.1s may round off 0.1
+    if nan:
+        x.reshape(-1, c)[1, 3] = np.nan
+    params = BnParams(rng.uniform((c,), 0.5, 1.5), rng.uniform((c,), -0.5, 0.5),
+                      mode=mode, use_affine=affine)
+    d_y = rng.normal(shape)
+    y, cache = bn_forward_train(x, params)
+    grads = bn_backward(d_y, cache, params)
+    arrays = [y, cache.mu_b, cache.sigma_b, cache.x_hat, cache.denom,
+              grads.d_input, grads.d_gamma, grads.d_beta]
+    if mode is not BnMode.L2:
+        naive = bn_backward_l1_naive(d_y, cache, params)
+        arrays += [naive.d_input, naive.d_gamma, naive.d_beta]
+    state = update_running_stats(BnState.init(c), cache.mu_b, cache.sigma_b)
+    return arrays + [state.running_mu, state.running_sigma, bn_forward_infer(x, params, state)]
+
+
+def fingerprint(workdir: Path) -> dict:
+    """Run every group in ``workdir`` and return the digests."""
+    workdir.mkdir(parents=True, exist_ok=True)
+    for name in ARCH_FILES:
+        shutil.copyfile(SCRIPTS / name, workdir / name)
+    for name, data in INPUT_FILES.items():
+        (workdir / name).write_bytes(data)
+    groups: dict[str, dict[str, str]] = {"cli": {}, "train": {}, "kernel": {}}
+    cwd = os.getcwd()
+    os.chdir(workdir)  # relative paths keep the work directory out of every message
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # the same warning lines on every run
+            for group, invocations in (("cli", cli_invocations()), ("train", TRAIN_INVOCATIONS)):
+                for i, argv in enumerate(invocations):
+                    groups[group][" ".join(argv)] = run_cli(argv, f"out/{group}{i:03d}")
+            for shape, mode, affine, nan in itertools.product(
+                    KERNEL_SHAPES, BnMode, (True, False), (False, True)):
+                name = f"{mode.value} {shape} affine={affine} nan={nan}"
+                groups["kernel"][name] = _digest(*(
+                    part for a in kernel_arrays(shape, mode, affine, nan)
+                    for part in (repr(a.shape).encode(), a.dtype.str.encode(), a.tobytes())))
+    finally:
+        os.chdir(cwd)
+    result = {group: _digest(*(s.encode() for item in digests.items() for s in item))
+              for group, digests in groups.items()}
+    result["overall"] = _digest(*(result[g].encode() for g in groups))
+    result["invocations"] = groups
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workdir", type=Path, default=None,
+                        help="run here, reusing what is there (default: a fresh temporary "
+                             "directory, removed afterwards)")
+    args = parser.parse_args(argv)
+    if args.workdir is not None:
+        result = fingerprint(args.workdir)
+    else:
+        with tempfile.TemporaryDirectory(prefix="fingerprint-") as tmp:
+            result = fingerprint(Path(tmp))
+    print(json.dumps(result, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,7 @@ Subcommands: ``gradcheck``, ``ratio``, ``train``, ``cost``.  Each writes its
 outputs plus a ``manifest.json`` (seed, resolved options, library version)
 under the run directory; given the same options the files are byte-identical
 across runs.  Exit codes: 0 success, 1 experiment/assertion failure, 2 usage
-error.
+error, which includes setting an option that the run does not read.
 """
 
 from __future__ import annotations
@@ -35,6 +35,12 @@ from .trainer import MlpSpec, SgdConfig, SyntheticTask, parity_gap
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1234  # bare invocations are reproducible
+
+# Defaults of the options that only some runs read.  These parse to None, so
+# ``main`` can reject one the run does not read before it fills them in.
+GRADCHECK_DEFAULTS = {"m": 7, "d": 3, "height": 3, "width": 3, "channels": 2}
+RATIO_DEFAULTS = {"n": 100000, "mu": 0.0, "sigma": 1.0,
+                  "m": 64, "height": 8, "width": 8, "channels": 16}
 
 
 def _comma_list(choices: tuple[str, ...]):
@@ -102,6 +108,25 @@ def _write_manifest(args: argparse.Namespace) -> None:
         "options": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
         "version": __version__,
     })
+
+
+def _unread(args) -> dict[str, str]:
+    """Each option that the run ``args`` asks for does not read, with the reason."""
+    if args.command == "gradcheck":
+        layouts = args.layouts.split(",")
+        unread = {} if "2d" in layouts else {"d": "read only by --layouts 2d"}
+        if "4d" not in layouts:
+            unread.update(dict.fromkeys(("height", "width", "channels"),
+                                        "read only by --layouts 4d"))
+        return unread
+    if args.command == "ratio":
+        unread = ({"n": "not read by --channel-map"} if args.channel_map else
+                  dict.fromkeys(("m", "height", "width", "channels"),
+                                "read only by --channel-map"))
+        if args.dist == "uniform":
+            unread.update(dict.fromkeys(("mu", "sigma"), "not read by --dist uniform"))
+        return unread
+    return {}
 
 
 def cmd_gradcheck(args) -> int:
@@ -206,12 +231,11 @@ def cmd_cost(args) -> int:
     _write_manifest(args)
     _write_csv(
         outdir / "layers.csv",
-        ["name", "m", "h", "w", "c", "mode",
+        ["name", "m", "h", "w", "c",
          "sign_l1", "abs_l1", "square_l2", "root_l2",
          "time_l2_ns", "time_l1_ns", "power_l2_uw", "power_l1_uw"],
         [
             (lc.shape.name, lc.shape.m, lc.shape.h, lc.shape.w, lc.shape.c,
-             lc.shape.mode.value,
              lc.counts_l1["sign"], lc.counts_l1["abs"],
              lc.counts_l2["square"], lc.counts_l2["root"],
              lc.weighted_l2["time_ns"], lc.weighted_l1["time_ns"],
@@ -240,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of l2,l1,l1c")
     p.add_argument("--layouts", type=_comma_list(("2d", "4d")), default="2d",
                    help="comma list of 2d,4d")
-    p.add_argument("--m", type=_positive_int, default=7, help="batch size")
-    p.add_argument("--d", type=_positive_int, default=3, help="features (2d layout)")
-    p.add_argument("--height", type=_positive_int, default=3, help="spatial height (4d layout)")
-    p.add_argument("--width", type=_positive_int, default=3, help="spatial width (4d layout)")
-    p.add_argument("--channels", type=_positive_int, default=2, help="channels (4d layout)")
+    p.add_argument("--m", type=_positive_int, help="batch size")
+    p.add_argument("--d", type=_positive_int, help="features (2d layout only)")
+    p.add_argument("--height", type=_positive_int, help="spatial height (4d layout only)")
+    p.add_argument("--width", type=_positive_int, help="spatial width (4d layout only)")
+    p.add_argument("--channels", type=_positive_int, help="channels (4d layout only)")
     p.add_argument("--step", type=float, default=DEFAULT_STEP, help="finite-difference step")
     p.add_argument("--threshold", type=float, default=1e-5, help="max allowed relative error")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -252,18 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ratio", help="Monte Carlo std/mean-absolute-deviation ratio")
-    p.add_argument("--n", type=_positive_int, default=100000, help="sample count per trial")
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--n", type=_positive_int,
+                   help="sample count per trial (not with --channel-map)")
+    p.add_argument("--mu", type=float, help="Gaussian mean (not with --dist uniform)")
+    p.add_argument("--sigma", type=float, help="Gaussian std (not with --dist uniform)")
     p.add_argument("--dist", choices=("gaussian", "uniform"), default="gaussian")
     p.add_argument("--band", type=float, default=DEFAULT_BAND_HALF_WIDTH,
                    help="half-width of the Gaussian band")
     p.add_argument("--channel-map", action="store_true",
                    help="per-channel map over a synthetic 4-D tensor instead of one stream")
-    p.add_argument("--m", type=_positive_int, default=64)
-    p.add_argument("--height", type=_positive_int, default=8)
-    p.add_argument("--width", type=_positive_int, default=8)
-    p.add_argument("--channels", type=_positive_int, default=16)
+    p.add_argument("--m", type=_positive_int, help="map batch (--channel-map only)")
+    p.add_argument("--height", type=_positive_int, help="map height (--channel-map only)")
+    p.add_argument("--width", type=_positive_int, help="map width (--channel-map only)")
+    p.add_argument("--channels", type=_positive_int, help="map channels (--channel-map only)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--outdir", default="runs/ratio")
     p.set_defaults(func=cmd_ratio)
@@ -284,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("cost", help="weighted op-cost comparison for an architecture file")
-    p.add_argument("--arch", required=True, help="file with lines `name m h w c mode`")
+    p.add_argument("--arch", required=True, help="file with one `name m h w c` line per layer")
     p.add_argument("--costs", default=None, help="JSON file overriding per-op costs")
     p.add_argument("--include-root", action="store_true",
                    help="keep per-feature root ops in the weighted totals")
@@ -295,7 +320,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, reason in _unread(args).items():
+        if getattr(args, name) is not None:
+            print(f"{parser.prog} {args.command}: error: argument --{name}: {reason}",
+                  file=sys.stderr)
+            raise SystemExit(2)
+    defaults = {"gradcheck": GRADCHECK_DEFAULTS, "ratio": RATIO_DEFAULTS}.get(args.command, {})
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # library errors surface as exit 1

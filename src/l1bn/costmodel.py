@@ -22,12 +22,15 @@ term, counted like the training root: ``bn_forward_infer`` rebuilds it on every
 call, which for L2 is c squares and c roots (sqrt(σ²+ε)) and for L1 none.  The
 fold is not cached, since SGD updates γ and β in place.
 
-Per-op weights default to measured FPGA costs (registers, DSP blocks, time,
-power).  The root is a per-feature term, B times rarer than the per-element
-ops, so reports exclude it from the weighted totals by default; with that
-convention the dominant-term comparison is one square (3 ns, 15 µW) against
-one sign + one abs (2 ns, 8 µW): a 1.5x time ratio and a 7/15 ≈ 46.7% power
-saving, independent of architecture.
+Per-op weights default to measured FPGA costs, time and power per op.  The
+root is a per-feature term, B times rarer than the per-element ops, so reports
+exclude it from the weighted totals by default; with that convention the
+dominant-term comparison is one square (3 ns, 15 µW) against one sign + one
+abs (2 ns, 8 µW): a 1.5x time ratio and a 7/15 ≈ 46.7% power saving,
+independent of architecture.
+
+An architecture is a list of layer shapes, read from a file of `name m h w c`
+lines.  Every layer is counted under both norms, so a layer names no mode.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ OP_NAMES = ("sign", "abs", "square", "root")
 
 @dataclass(frozen=True)
 class OpCost:
-    registers: int
-    dsp_blocks: int
     time_ns: float
     power_uw: float
 
@@ -59,14 +60,14 @@ class OpCost:
 class OpCosts:
     """Per-op hardware weights; defaults are the measured FPGA costs of 32-bit float ops."""
 
-    sign: OpCost = OpCost(registers=153, dsp_blocks=0, time_ns=1.0, power_uw=2.0)
-    abs: OpCost = OpCost(registers=337, dsp_blocks=0, time_ns=1.0, power_uw=6.0)
-    square: OpCost = OpCost(registers=407, dsp_blocks=1, time_ns=3.0, power_uw=15.0)
-    root: OpCost = OpCost(registers=438, dsp_blocks=2, time_ns=28.0, power_uw=40.0)
+    sign: OpCost = OpCost(time_ns=1.0, power_uw=2.0)
+    abs: OpCost = OpCost(time_ns=1.0, power_uw=6.0)
+    square: OpCost = OpCost(time_ns=3.0, power_uw=15.0)
+    root: OpCost = OpCost(time_ns=28.0, power_uw=40.0)
 
     @classmethod
     def from_json(cls, path) -> "OpCosts":
-        """Load overrides from JSON: {"sign": {"time_ns": ..., ...}, ...}.
+        """Load overrides from JSON: {"sign": {"time_ns": ..., "power_uw": ...}, ...}.
 
         Raises ValueError, prefixed with ``path``, naming bytes that are not UTF-8,
         text that is not JSON, an unknown op or field, or a value that is not a
@@ -109,7 +110,6 @@ class LayerShape:
     h: int
     w: int
     c: int
-    mode: BnMode = BnMode.L2
 
     def __post_init__(self):
         if min(self.m, self.h, self.w, self.c) <= 0:
@@ -196,7 +196,6 @@ class CostProfile:
                     "h": lc.shape.h,
                     "w": lc.shape.w,
                     "c": lc.shape.c,
-                    "mode": lc.shape.mode.value,
                     "counts_l2": lc.counts_l2,
                     "counts_l1": lc.counts_l1,
                     "weighted_l2": lc.weighted_l2,
@@ -209,7 +208,11 @@ class CostProfile:
 
 def model_report(layers: list[LayerShape], costs: OpCosts = OpCosts(),
                  include_root: bool = False) -> CostProfile:
-    """Per-layer and total time/power under both norms for one architecture."""
+    """Per-layer and total time/power under both norms for one architecture.
+
+    Raises ValueError when L1's total time or L2's total power is zero, since
+    the time ratio or the power saving would then divide by it.
+    """
     layer_costs = []
     for shape in layers:
         c2 = count_ops(shape, BnMode.L2)
@@ -225,9 +228,12 @@ def model_report(layers: list[LayerShape], costs: OpCosts = OpCosts(),
     counts_l1 = {op: sum(lc.counts_l1[op] for lc in layer_costs) for op in OP_NAMES}
     totals_l2 = weigh(counts_l2, costs, include_root)
     totals_l1 = weigh(counts_l1, costs, include_root)
-    time_ratio = totals_l2["time_ns"] / totals_l1["time_ns"] if totals_l1["time_ns"] else 0.0
-    saving = (1.0 - totals_l1["power_uw"] / totals_l2["power_uw"]
-              if totals_l2["power_uw"] else 0.0)
+    if not totals_l1["time_ns"]:
+        raise ValueError("L1 total time_ns is 0, so the L2/L1 time ratio is undefined")
+    if not totals_l2["power_uw"]:
+        raise ValueError("L2 total power_uw is 0, so the power saving is undefined")
+    time_ratio = totals_l2["time_ns"] / totals_l1["time_ns"]
+    saving = 1.0 - totals_l1["power_uw"] / totals_l2["power_uw"]
     return CostProfile(
         layers=layer_costs,
         totals_l2=totals_l2,
@@ -241,7 +247,7 @@ def model_report(layers: list[LayerShape], costs: OpCosts = OpCosts(),
 
 
 def parse_architecture(path) -> list[LayerShape]:
-    """Read a flat architecture file: one layer per line, `name m h w c mode`.
+    """Read a flat architecture file: one layer per line, `name m h w c`.
 
     Blank lines and `#` comments are skipped.  Errors carry the path and, past
     decoding, the line number; a file with no layer line is an error too.
@@ -257,23 +263,17 @@ def parse_architecture(path) -> list[LayerShape]:
             if not line:
                 continue
             parts = line.split()
-            if len(parts) != 6:
+            if len(parts) != 5:
                 raise ValueError(
-                    f"{path}:{lineno}: expected `name m h w c mode`, got {len(parts)} fields"
+                    f"{path}:{lineno}: expected `name m h w c`, got {len(parts)} fields"
                 )
-            name, m, h, w, c, mode = parts
+            name, *dims = parts
             try:
-                dims = [int(v) for v in (m, h, w, c)]
+                dims = [int(v) for v in dims]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer dimension: {exc}") from None
             try:
-                bn_mode = BnMode(mode.lower())
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown mode {mode!r} (expected l2, l1, or l1c)"
-                ) from None
-            try:
-                layers.append(LayerShape(name, *dims, mode=bn_mode))
+                layers.append(LayerShape(name, *dims))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not layers:

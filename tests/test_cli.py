@@ -208,7 +208,7 @@ class TestTrainCommand:
 
 
 class TestCostCommand:
-    ARCH = "fc1 256 1 1 100 l2\nconv1 32 8 8 16 l1\n"
+    ARCH = "fc1 256 1 1 100\nconv1 32 8 8 16\n"
 
     def test_totals_and_headline_figures(self, tmp_path, capsys):
         arch = tmp_path / "net.arch"
@@ -246,7 +246,7 @@ class TestCostCommand:
 
     def test_custom_costs_override(self, tmp_path):
         arch = tmp_path / "net.arch"
-        arch.write_text("fc1 16 1 1 4 l2\n")
+        arch.write_text("fc1 16 1 1 4\n")
         costs = tmp_path / "costs.json"
         costs.write_text(json.dumps({"square": {"time_ns": 6.0}}))
         outdir = tmp_path / "cost"
@@ -269,7 +269,7 @@ class TestCostCommand:
     ])
     def test_malformed_costs_exit_one(self, tmp_path, capsys, payload, named):
         arch = tmp_path / "net.arch"
-        arch.write_text("fc1 16 1 1 4 l2\n")
+        arch.write_text("fc1 16 1 1 4\n")
         costs = tmp_path / "costs.json"
         costs.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
         outdir = tmp_path / "cost"
@@ -297,8 +297,8 @@ def write_arch(tmp_path, name, lines):
 def shrinking_runs(tmp_path):
     """(first, second) argv pairs whose second run writes shorter files."""
     long_arch = write_arch(tmp_path, "three_layers.arch", [
-        "conv1 32 16 16 64 l1", "conv2 32 8 8 128 l1c", "fc1 256 1 1 1000 l2"])
-    short_arch = write_arch(tmp_path, "one.arch", ["fc1 16 1 1 4 l2"])
+        "conv1 32 16 16 64", "conv2 32 8 8 128", "fc1 256 1 1 1000"])
+    short_arch = write_arch(tmp_path, "one.arch", ["fc1 16 1 1 4"])
     return {
         "gradcheck": (["gradcheck", "--modes", "l2,l1,l1c"], ["gradcheck", "--modes", "l2"]),
         "ratio": (["ratio", "--channel-map", "--channels", "16"],
@@ -389,7 +389,7 @@ class TestOutputFiles:
         assert [path for path, flags in opened if flags & os.O_TRUNC] == []
 
     def test_outputs_are_utf8_whatever_the_locale(self, tmp_path):
-        arch = write_arch(tmp_path, "net.arch", ["conv_\u03b1 32 8 8 16 l1"])
+        arch = write_arch(tmp_path, "net.arch", ["conv_\u03b1 32 8 8 16"])
         here, c_locale = tmp_path / "here", tmp_path / "c_locale"
         assert main(["cost", "--arch", arch, "--outdir", str(here)]) == 0
         env = {k: v for k, v in os.environ.items() if not k.startswith("LC_")}
@@ -442,17 +442,25 @@ class TestOneLineErrors:
         (["cost", "--arch", "{latin1}"],
          "cost: {latin1}: 'utf-8' codec can't decode byte 0xe9 in position 5: "
          "invalid continuation byte"),
+        (["cost", "--arch", SAMPLE_ARCH, "--costs", "{zero_time}"],
+         "cost: L1 total time_ns is 0, so the L2/L1 time ratio is undefined"),
+        (["cost", "--arch", SAMPLE_ARCH, "--costs", "{zero_power}"],
+         "cost: L2 total power_uw is 0, so the power saving is undefined"),
     ], ids=["gradcheck-overflow", "gradcheck-step-nan", "gradcheck-step-inf",
             "gradcheck-threshold-nan", "gradcheck-negative-threshold", "gradcheck-threshold-inf",
             "ratio-constant-channel", "cost-no-layers", "cost-missing-arch", "ratio-mu-inf",
             "ratio-mu-nan", "ratio-sigma-inf", "ratio-channel-map-mu-nan", "ratio-negative-band",
             "train-tolerance-nan", "train-negative-tolerance", "train-tolerance-inf",
-            "cost-arch-not-utf8"])
+            "cost-arch-not-utf8", "cost-zero-l1-time", "cost-zero-l2-power"])
     def test_exit_one_with_one_stderr_line(self, tmp_path, argv, line):
         latin1 = tmp_path / "latin1.arch"
-        latin1.write_bytes("conv_\u00e9 32 8 8 16 l1\n".encode("latin-1"))
+        latin1.write_bytes("conv_\u00e9 32 8 8 16\n".encode("latin-1"))
+        zero_time, zero_power = tmp_path / "zero_time.json", tmp_path / "zero_power.json"
+        zero_time.write_text('{"sign": {"time_ns": 0}, "abs": {"time_ns": 0}}')
+        zero_power.write_text('{"square": {"power_uw": 0}}')
         paths = {"empty": write_arch(tmp_path, "empty.arch", ["# no layers here"]),
-                 "missing": str(tmp_path / "missing.arch"), "latin1": str(latin1)}
+                 "missing": str(tmp_path / "missing.arch"), "latin1": str(latin1),
+                 "zero_time": str(zero_time), "zero_power": str(zero_power)}
         proc = subprocess.run(
             [sys.executable, "-m", "l1bn.cli", *(a.format(**paths) for a in argv),
              "--outdir", str(tmp_path / "out")],
@@ -521,3 +529,126 @@ class TestUsage:
         for manifest in manifests:
             manifest["options"].pop("outdir")
         assert manifests[0] == manifests[1]
+
+
+RATIO = ["ratio", "--n", "1000"]
+UNIFORM = ["ratio", "--dist", "uniform", "--n", "1000"]
+MAP = ["ratio", "--channel-map", "--m", "8", "--height", "4", "--width", "4", "--channels", "3"]
+UNIFORM_MAP = MAP + ["--dist", "uniform"]
+GC_2D = ["gradcheck", "--modes", "l1"]
+GC_4D = GC_2D + ["--layouts", "4d"]
+GC_BOTH = GC_2D + ["--layouts", "2d,4d"]
+COST = ["cost", "--arch", "{sample}"]
+COST_ROOT = COST + ["--include-root"]
+CHANGED = None
+
+# (default run, added arguments, CHANGED or the text its rejection must carry)
+INPUT_CASES = [
+    (RATIO, ["--n", "2000"], CHANGED),
+    (RATIO, ["--mu", "100"], CHANGED),  # a shift moves only rounding bits
+    (RATIO, ["--sigma", "2"], CHANGED),
+    (RATIO, ["--band", "0.5"], CHANGED),
+    (RATIO, ["--seed", "5"], CHANGED),
+    (RATIO, ["--dist", "uniform"], CHANGED),
+    (RATIO, ["--channel-map"], "argument --n: not read by --channel-map"),
+    (RATIO, ["--m", "4"], "argument --m: read only by --channel-map"),
+    (RATIO, ["--height", "2"], "argument --height: read only by --channel-map"),
+    (RATIO, ["--width", "2"], "argument --width: read only by --channel-map"),
+    (RATIO, ["--channels", "3"], "argument --channels: read only by --channel-map"),
+    (UNIFORM, ["--n", "2000"], CHANGED),
+    (UNIFORM, ["--seed", "5"], CHANGED),
+    (UNIFORM, ["--band", "0.5"], CHANGED),
+    (UNIFORM, ["--mu", "1"], "argument --mu: not read by --dist uniform"),
+    (UNIFORM, ["--sigma", "2"], "argument --sigma: not read by --dist uniform"),
+    (MAP, ["--m", "9"], CHANGED),
+    (MAP, ["--height", "5"], CHANGED),
+    (MAP, ["--width", "5"], CHANGED),
+    (MAP, ["--channels", "2"], CHANGED),
+    (MAP, ["--mu", "100"], CHANGED),
+    (MAP, ["--sigma", "2"], CHANGED),
+    (MAP, ["--seed", "5"], CHANGED),
+    (MAP, ["--band", "0.5"], CHANGED),
+    (MAP, ["--dist", "uniform"], CHANGED),
+    (MAP, ["--n", "2000"], "argument --n: not read by --channel-map"),
+    (UNIFORM_MAP, ["--m", "9"], CHANGED),
+    (UNIFORM_MAP, ["--mu", "1"], "argument --mu: not read by --dist uniform"),
+    (UNIFORM_MAP, ["--sigma", "2"], "argument --sigma: not read by --dist uniform"),
+    (GC_2D, ["--m", "5"], CHANGED),
+    (GC_2D, ["--d", "2"], CHANGED),
+    (GC_2D, ["--modes", "l2"], CHANGED),
+    (GC_2D, ["--layouts", "4d"], CHANGED),
+    (GC_2D, ["--step", "1e-5"], CHANGED),
+    (GC_2D, ["--threshold", "1e-4"], CHANGED),
+    (GC_2D, ["--seed", "5"], CHANGED),
+    (GC_2D, ["--height", "2"], "argument --height: read only by --layouts 4d"),
+    (GC_2D, ["--width", "2"], "argument --width: read only by --layouts 4d"),
+    (GC_2D, ["--channels", "3"], "argument --channels: read only by --layouts 4d"),
+    (GC_4D, ["--m", "5"], CHANGED),
+    (GC_4D, ["--height", "2"], CHANGED),
+    (GC_4D, ["--width", "2"], CHANGED),
+    (GC_4D, ["--channels", "3"], CHANGED),
+    (GC_4D, ["--d", "2"], "argument --d: read only by --layouts 2d"),
+    (GC_BOTH, ["--d", "2"], CHANGED),
+    (GC_BOTH, ["--height", "2"], CHANGED),
+    (COST, ["--arch", "{mlp}"], CHANGED),
+    (COST, ["--include-root"], CHANGED),
+    *[(COST, ["--costs", {op: {field: 0.5}}], CHANGED)
+      for op in ("sign", "abs", "square") for field in ("time_ns", "power_uw")],
+    *[(COST_ROOT, ["--costs", {"root": {field: 0.5}}], CHANGED)
+      for field in ("time_ns", "power_uw")],
+    (COST, ["--costs", {"square": {"registers": 1}}], "unknown field 'registers'"),
+    (COST, ["--costs", {"root": {"dsp_blocks": 1}}], "unknown field 'dsp_blocks'"),
+    (COST, ["--arch", "{moded}"], "{moded}:2: expected `name m h w c`, got 6 fields"),
+]
+
+
+def case_id(case):
+    base, extra, _ = case
+    words = [" ".join(f"{op}.{field}={value}" for op, fields in a.items()
+                      for field, value in fields.items()) if isinstance(a, dict) else a
+             for a in base + extra]
+    return " ".join(words).replace("{", "").replace("}", "")
+
+
+class TestEveryInputIsRead:
+    """Each option either changes an output byte of its default run (the
+    manifest aside, which echoes every option) or is rejected by a message that
+    names the option, field or line."""
+
+    def run(self, argv, outdir, capsys):
+        try:
+            code = main(argv + ["--outdir", str(outdir)])
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, extra, rejection", INPUT_CASES,
+                             ids=[case_id(c) for c in INPUT_CASES])
+    def test_option_changes_output_or_is_rejected(self, tmp_path, capsys, base, extra,
+                                                  rejection):
+        paths = {"sample": SAMPLE_ARCH,
+                 "mlp": str(Path(SAMPLE_ARCH).with_name("mlp.arch")),
+                 "moded": write_arch(tmp_path, "moded.arch",
+                                     ["fc1 16 1 1 4", "conv1 32 8 8 16 l2"])}
+        costs = tmp_path / "costs.json"
+        argv = []
+        for arg in base + extra:
+            if isinstance(arg, dict):
+                costs.write_text(json.dumps(arg))
+                arg = str(costs)
+            argv.append(arg.format(**paths))
+        default, changed = tmp_path / "default", tmp_path / "changed"
+        assert self.run([a.format(**paths) for a in base], default, capsys) == (0, "")
+        code, err = self.run(argv, changed, capsys)
+        if rejection is CHANGED:
+            assert code == 0, err
+            outputs = [snapshot(d) for d in (default, changed)]
+            for snap in outputs:
+                del snap["manifest.json"]
+            assert outputs[0].keys() == outputs[1].keys()
+            assert outputs[0] != outputs[1]
+        else:
+            assert code in (1, 2)
+            assert rejection.format(**paths) in err
+            assert len(err.splitlines()) == 1
+            assert not changed.exists()

@@ -17,21 +17,21 @@ from l1bn.costmodel import (
 )
 
 
-def layer(name="bn", m=256, h=1, w=1, c=100, mode=BnMode.L2):
-    return LayerShape(name, m, h, w, c, mode)
+def layer(name="bn", m=256, h=1, w=1, c=100):
+    return LayerShape(name, m, h, w, c)
 
 
 class TestDefaults:
     def test_table_values(self):
         costs = OpCosts()
-        assert costs.sign == OpCost(153, 0, 1.0, 2.0)
-        assert costs.abs == OpCost(337, 0, 1.0, 6.0)
-        assert costs.square == OpCost(407, 1, 3.0, 15.0)
-        assert costs.root == OpCost(438, 2, 28.0, 40.0)
+        assert costs.sign == OpCost(1.0, 2.0)
+        assert costs.abs == OpCost(1.0, 6.0)
+        assert costs.square == OpCost(3.0, 15.0)
+        assert costs.root == OpCost(28.0, 40.0)
 
     def test_nonnegative_enforced(self):
         with pytest.raises(ValueError):
-            OpCost(registers=-1, dsp_blocks=0, time_ns=1.0, power_uw=1.0)
+            OpCost(time_ns=-1.0, power_uw=1.0)
 
 
 class TestCountOps:
@@ -85,10 +85,29 @@ class TestWeigh:
         assert saving == pytest.approx(7.0 / 15.0)
 
     def test_zero_layers(self):
-        profile = model_report([])
-        assert profile.totals_l2["time_ns"] == 0.0
-        assert profile.totals_l1["power_uw"] == 0.0
+        with pytest.raises(ValueError, match="L1 total time_ns is 0"):
+            model_report([])
+
+    @pytest.mark.parametrize("override, message", [
+        ({"sign": {"time_ns": 0}, "abs": {"time_ns": 0}},
+         "L1 total time_ns is 0, so the L2/L1 time ratio is undefined"),
+        ({"square": {"power_uw": 0}}, "L2 total power_uw is 0, so the power saving is undefined"),
+    ], ids=["l1-time", "l2-power"])
+    def test_zero_denominator_rejected(self, tmp_path, override, message):
+        path = tmp_path / "costs.json"
+        path.write_text(json.dumps(override))
+        with pytest.raises(ValueError) as exc:
+            model_report([layer()], OpCosts.from_json(path))
+        assert str(exc.value) == message
+
+    def test_zero_numerator_is_a_figure(self):
+        # L2 free or L1 drawing no power are answers, not undefined ratios
+        instant_square = OpCost(time_ns=0.0, power_uw=15.0)
+        profile = model_report([layer()], OpCosts(square=instant_square))
         assert profile.time_ratio_l2_over_l1 == 0.0
+        cold = OpCost(time_ns=1.0, power_uw=0.0)
+        profile = model_report([layer()], OpCosts(sign=cold, abs=cold))
+        assert profile.power_saving_fraction == 1.0
 
 
 class TestModelReport:
@@ -165,43 +184,32 @@ class TestArchitectureFile:
         path = tmp_path / "net.arch"
         path.write_text(
             "# toy network\n"
-            "fc1   256 1 1 100 l2\n"
+            "fc1   256 1 1 100\n"
             "\n"
-            "conv1 32  8 8 16  l1   # trailing comment\n"
+            "conv1 32  8 8 16   # trailing comment\n"
         )
         layers = parse_architecture(path)
-        assert [l.name for l in layers] == ["fc1", "conv1"]
-        assert layers[1].mode is BnMode.L1
+        assert layers == [LayerShape("fc1", 256, 1, 1, 100), LayerShape("conv1", 32, 8, 8, 16)]
         assert layers[1].pooled == 32 * 8 * 8
 
     def test_field_count_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.arch"
-        path.write_text("fc1 256 1 1 100 l2\nbroken 1 2\n")
-        with pytest.raises(ValueError, match=":2: expected `name m h w c mode`, got 3 fields"):
+        path.write_text("fc1 256 1 1 100\nbroken 1 2\n")
+        with pytest.raises(ValueError, match=":2: expected `name m h w c`, got 3 fields"):
             parse_architecture(path)
+
+    def test_mode_column_rejected(self, tmp_path):
+        # every layer is costed under both norms, so a sixth field has no meaning
+        path = tmp_path / "old.arch"
+        path.write_text("fc1 256 1 1 100\nconv1 32 8 8 16 l2\n")
+        with pytest.raises(ValueError) as exc:
+            parse_architecture(path)
+        assert str(exc.value) == f"{path}:2: expected `name m h w c`, got 6 fields"
 
     def test_non_integer_dimension(self, tmp_path):
         path = tmp_path / "bad.arch"
-        path.write_text("fc1 x 1 1 100 l2\n")
+        path.write_text("fc1 x 1 1 100\n")
         with pytest.raises(ValueError, match=":1: non-integer dimension"):
-            parse_architecture(path)
-
-    def test_unknown_mode(self, tmp_path):
-        path = tmp_path / "bad.arch"
-        path.write_text("fc1 4 1 1 2 l3\n")
-        with pytest.raises(ValueError, match=":1: unknown mode 'l3'"):
-            parse_architecture(path)
-
-    def test_mode_is_case_insensitive(self, tmp_path):
-        path = tmp_path / "net.arch"
-        path.write_text("fc1 4 1 1 2 L1C\n")
-        assert parse_architecture(path)[0].mode is BnMode.L1_COMPENSATED
-
-    def test_only_mode_values_accepted(self, tmp_path):
-        # modes are BnMode's values; the long name is not one
-        path = tmp_path / "bad.arch"
-        path.write_text("fc1 4 1 1 2 l1-compensated\n")
-        with pytest.raises(ValueError, match=":1: unknown mode 'l1-compensated'"):
             parse_architecture(path)
 
     @pytest.mark.parametrize("text", ["", "\n", "# only a comment\n\n  # another\n"],
@@ -215,6 +223,6 @@ class TestArchitectureFile:
 
     def test_nonpositive_dimension_flagged(self, tmp_path):
         path = tmp_path / "bad.arch"
-        path.write_text("fc1 0 1 1 2 l2\n")
+        path.write_text("fc1 0 1 1 2\n")
         with pytest.raises(ValueError, match=":1: layer 'fc1': all dimensions must be positive"):
             parse_architecture(path)

@@ -1,5 +1,7 @@
-"""Smoke tests: the stand-alone experiment script and the architecture files run."""
+"""Smoke tests: the stand-alone scripts and the architecture files run."""
 
+import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from l1bn.cli import main
+from l1bn.costmodel import parse_architecture
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +35,32 @@ def test_every_arch_file_costs_the_paper_headline(arch, tmp_path):
     totals = json.loads((tmp_path / "totals.json").read_text(encoding="utf-8"))
     assert totals["time_ratio_l2_over_l1"] == 1.5
     assert abs(totals["power_saving_pct"] - 700 / 15) <= 1e-9
+
+
+@pytest.mark.parametrize("arch", sorted((ROOT / "scripts").glob("*.arch")), ids=lambda p: p.stem)
+def test_every_arch_file_parses_and_costs(arch, tmp_path):
+    layers = parse_architecture(arch)
+    assert main(["cost", "--arch", str(arch), "--outdir", str(tmp_path)]) == 0
+    with open(tmp_path / "layers.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header[:6] == ["name", "m", "h", "w", "c", "sign_l1"]
+    assert [row[:5] for row in rows] == [
+        [layer.name, str(layer.m), str(layer.h), str(layer.w), str(layer.c)] for layer in layers]
+
+
+def test_fingerprint_same_digests_in_a_fresh_and_a_reused_directory(tmp_path):
+    spec = importlib.util.spec_from_file_location("fingerprint",
+                                                  ROOT / "scripts" / "fingerprint.py")
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    workdir = tmp_path / "work"
+    fresh = fingerprint.fingerprint(workdir)
+    reused = fingerprint.fingerprint(workdir)  # every output is already there
+    assert reused == fresh
+    invocations = fresh["invocations"]
+    assert set(fresh) == {"cli", "train", "kernel", "overall", "invocations"}
+    # a digest that hashed nothing would repeat across cases with different outputs
+    for group in ("train", "kernel"):
+        digests = list(invocations[group].values())
+        assert len(set(digests)) == len(digests) > 0, group
+    assert len(set(invocations["cli"].values())) > 1
