@@ -143,6 +143,7 @@ def cli_invocations() -> list[list[str]]:
         ["ratio", "--n", "50"],
         ["cost", "--arch", "missing.arch"],
         ["cost", "--arch", "sample.arch", "--costs", "missing.json"],
+        ["cost", "--arch", "sample.arch", "--costs", "root_costs.json"],
     ]
     runs += [["cost", "--arch", name] for name in INPUT_FILES if name.endswith(".arch")]
     runs += [["cost", "--arch", "sample.arch", "--costs", name]
@@ -170,6 +171,7 @@ def cli_invocations() -> list[list[str]]:
         ["train", "--runs", "0"],
         ["train", "--epochs", "0"],
         ["train", "--parity-tolerance-pp", "nan"],
+        ["train", "--modes", "l1c", "--runs", "1", "--epochs", "1", "--parity-tolerance-pp", "0"],
         ["cost"],
     ]
     return runs

@@ -37,6 +37,8 @@ one extra function call.  Three passes stay whole, since blocking them measured
 slower on a 2-vCPU VM: centring, which the reductions need complete (L1's
 |x - μ_B| with it in row blocks slowed the backward that follows), and
 inference's multiply and add, whose gain at 2.1M elements was lost at 192k.
+The trainer's evaluation makes no such call: it feeds the net row blocks of at
+most ``BLOCK_ELEMS`` elements per layer.
 """
 
 from __future__ import annotations

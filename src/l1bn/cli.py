@@ -41,6 +41,7 @@ DEFAULT_SEED = 1234  # bare invocations are reproducible
 GRADCHECK_DEFAULTS = {"m": 7, "d": 3, "height": 3, "width": 3, "channels": 2}
 RATIO_DEFAULTS = {"n": 100000, "mu": 0.0, "sigma": 1.0,
                   "m": 64, "height": 8, "width": 8, "channels": 16}
+TRAIN_DEFAULTS = {"parity_tolerance_pp": 2.0}
 
 
 def _comma_list(choices: tuple[str, ...]):
@@ -126,6 +127,8 @@ def _unread(args) -> dict[str, str]:
         if args.dist == "uniform":
             unread.update(dict.fromkeys(("mu", "sigma"), "not read by --dist uniform"))
         return unread
+    if args.command == "train" and not {"l2", "l1"} <= set(args.modes.split(",")):
+        return {"parity_tolerance_pp": "read only when --modes has both l2 and l1"}
     return {}
 
 
@@ -226,7 +229,8 @@ def cmd_train(args) -> int:
 def cmd_cost(args) -> int:
     outdir = Path(args.outdir)
     layers = parse_architecture(args.arch)
-    costs = OpCosts.from_json(args.costs) if args.costs else OpCosts()
+    costs = (OpCosts.from_json(args.costs, include_root=args.include_root) if args.costs
+             else OpCosts())
     profile = model_report(layers, costs, include_root=args.include_root)
     _write_manifest(args)
     _write_csv(
@@ -302,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeds per mode, from --seed up")
     p.add_argument("--epochs", type=_positive_int, default=None,
                    help="override preset epochs")
-    p.add_argument("--parity-tolerance-pp", type=float, default=2.0,
-                   help="largest L1 vs L2 mean-accuracy gap that exits 0 (when both run)")
+    p.add_argument("--parity-tolerance-pp", type=float,
+                   help="largest L1 vs L2 mean-accuracy gap that exits 0 (default "
+                        f"{TRAIN_DEFAULTS['parity_tolerance_pp']}; only when both run)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--outdir", default="runs/train")
     p.set_defaults(func=cmd_train)
@@ -324,10 +329,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for name, reason in _unread(args).items():
         if getattr(args, name) is not None:
-            print(f"{parser.prog} {args.command}: error: argument --{name}: {reason}",
-                  file=sys.stderr)
+            print(f"{parser.prog} {args.command}: error: argument "
+                  f"--{name.replace('_', '-')}: {reason}", file=sys.stderr)
             raise SystemExit(2)
-    defaults = {"gradcheck": GRADCHECK_DEFAULTS, "ratio": RATIO_DEFAULTS}.get(args.command, {})
+    defaults = {"gradcheck": GRADCHECK_DEFAULTS, "ratio": RATIO_DEFAULTS,
+                "train": TRAIN_DEFAULTS}.get(args.command, {})
     for name, value in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, value)

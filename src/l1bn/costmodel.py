@@ -66,12 +66,13 @@ class OpCosts:
     root: OpCost = OpCost(time_ns=28.0, power_uw=40.0)
 
     @classmethod
-    def from_json(cls, path) -> "OpCosts":
+    def from_json(cls, path, include_root: bool = True) -> "OpCosts":
         """Load overrides from JSON: {"sign": {"time_ns": ..., "power_uw": ...}, ...}.
 
         Raises ValueError, prefixed with ``path``, naming bytes that are not UTF-8,
-        text that is not JSON, an unknown op or field, or a value that is not a
-        finite nonnegative number.
+        text that is not JSON, an unknown op or field, a value that is not a
+        finite nonnegative number, or a ``root`` entry when ``include_root`` is
+        off, since the weighted totals then read no root weight.
         """
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -98,6 +99,8 @@ class OpCosts:
                                      f"nonnegative number, got {value!r}")
             base.update(fields)
             kwargs[op] = OpCost(**base)
+        if "root" in kwargs and not include_root:
+            raise ValueError(f"{path}: root weights are read only with --include-root")
         return cls(**kwargs)
 
 

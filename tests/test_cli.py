@@ -446,21 +446,27 @@ class TestOneLineErrors:
          "cost: L1 total time_ns is 0, so the L2/L1 time ratio is undefined"),
         (["cost", "--arch", SAMPLE_ARCH, "--costs", "{zero_power}"],
          "cost: L2 total power_uw is 0, so the power saving is undefined"),
+        (["cost", "--arch", SAMPLE_ARCH, "--costs", "{root}"],
+         "cost: {root}: root weights are read only with --include-root"),
     ], ids=["gradcheck-overflow", "gradcheck-step-nan", "gradcheck-step-inf",
             "gradcheck-threshold-nan", "gradcheck-negative-threshold", "gradcheck-threshold-inf",
             "ratio-constant-channel", "cost-no-layers", "cost-missing-arch", "ratio-mu-inf",
             "ratio-mu-nan", "ratio-sigma-inf", "ratio-channel-map-mu-nan", "ratio-negative-band",
             "train-tolerance-nan", "train-negative-tolerance", "train-tolerance-inf",
-            "cost-arch-not-utf8", "cost-zero-l1-time", "cost-zero-l2-power"])
+            "cost-arch-not-utf8", "cost-zero-l1-time", "cost-zero-l2-power",
+            "cost-root-without-include-root"])
     def test_exit_one_with_one_stderr_line(self, tmp_path, argv, line):
         latin1 = tmp_path / "latin1.arch"
         latin1.write_bytes("conv_\u00e9 32 8 8 16\n".encode("latin-1"))
         zero_time, zero_power = tmp_path / "zero_time.json", tmp_path / "zero_power.json"
         zero_time.write_text('{"sign": {"time_ns": 0}, "abs": {"time_ns": 0}}')
         zero_power.write_text('{"square": {"power_uw": 0}}')
+        root = tmp_path / "root.json"
+        root.write_text('{"root": {"time_ns": 14.0, "power_uw": 20.0}}')
         paths = {"empty": write_arch(tmp_path, "empty.arch", ["# no layers here"]),
                  "missing": str(tmp_path / "missing.arch"), "latin1": str(latin1),
-                 "zero_time": str(zero_time), "zero_power": str(zero_power)}
+                 "zero_time": str(zero_time), "zero_power": str(zero_power),
+                 "root": str(root)}
         proc = subprocess.run(
             [sys.executable, "-m", "l1bn.cli", *(a.format(**paths) for a in argv),
              "--outdir", str(tmp_path / "out")],
@@ -540,6 +546,8 @@ GC_4D = GC_2D + ["--layouts", "4d"]
 GC_BOTH = GC_2D + ["--layouts", "2d,4d"]
 COST = ["cost", "--arch", "{sample}"]
 COST_ROOT = COST + ["--include-root"]
+TRAIN_L1C = ["train", "--modes", "l1c", "--runs", "1", "--epochs", "1"]
+UNGATED = "argument --parity-tolerance-pp: read only when --modes has both l2 and l1"
 CHANGED = None
 
 # (default run, added arguments, CHANGED or the text its rejection must carry)
@@ -598,7 +606,14 @@ INPUT_CASES = [
       for field in ("time_ns", "power_uw")],
     (COST, ["--costs", {"square": {"registers": 1}}], "unknown field 'registers'"),
     (COST, ["--costs", {"root": {"dsp_blocks": 1}}], "unknown field 'dsp_blocks'"),
+    *[(COST, ["--costs", {"root": {field: 14.0}}],
+       "{costs}: root weights are read only with --include-root")
+      for field in ("time_ns", "power_uw")],
     (COST, ["--arch", "{moded}"], "{moded}:2: expected `name m h w c`, got 6 fields"),
+    (TRAIN_L1C, ["--epochs", "2"], CHANGED),  # --seed, --runs, --modes rename the CSVs
+    (TRAIN_L1C, ["--preset", "parity"], CHANGED),
+    (TRAIN_L1C, ["--parity-tolerance-pp", "0"], UNGATED),
+    (TRAIN_L1C, ["--modes", "l2,l1c", "--parity-tolerance-pp", "3"], UNGATED),
 ]
 
 
@@ -631,6 +646,7 @@ class TestEveryInputIsRead:
                  "moded": write_arch(tmp_path, "moded.arch",
                                      ["fc1 16 1 1 4", "conv1 32 8 8 16 l2"])}
         costs = tmp_path / "costs.json"
+        paths["costs"] = str(costs)
         argv = []
         for arg in base + extra:
             if isinstance(arg, dict):

@@ -173,6 +173,16 @@ class TestModelReport:
         assert base.counts_l1 == custom.counts_l1
         assert custom.totals_l2["time_ns"] == 10 * base.totals_l2["time_ns"]
 
+    def test_root_entry_only_with_include_root(self, tmp_path):
+        override = tmp_path / "costs.json"
+        override.write_text(json.dumps({"sign": {"time_ns": 2.0}, "root": {"power_uw": 9.0}}))
+        assert OpCosts.from_json(override).root.power_uw == 9.0
+        with pytest.raises(ValueError) as exc:
+            OpCosts.from_json(override, include_root=False)
+        assert str(exc.value) == f"{override}: root weights are read only with --include-root"
+        override.write_text(json.dumps({"sign": {"time_ns": 2.0}}))
+        assert OpCosts.from_json(override, include_root=False).sign.time_ns == 2.0
+
     def test_profile_serializes(self):
         payload = model_report(self.TOY).to_dict()
         assert payload["time_ratio_l2_over_l1"] == 1.5

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from l1bn import cli, trainer
-from l1bn.batchnorm import BnMode, bn_backward
+from l1bn.batchnorm import BLOCK_ELEMS, BnMode, bn_backward
 from l1bn.gradcheck import finite_diff, relative_errors
 from l1bn.tensor import Rng
 from l1bn.trainer import (
@@ -454,6 +455,54 @@ class TestRunExperiment:
         assert not recs["l2"].diverged and not recs["l1"].diverged
         bn_floor = min(accs["l2"], accs["l1"])
         assert recs["none"].diverged or accs["none"] < bn_floor - 0.05
+
+
+class TestBlockedAccuracy:
+    """``accuracy`` feeds the net row blocks and sums their hits; its result is
+    the whole-set ``np.mean(argmax == y)``."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        task, hidden, config = cli._PRESETS["parity"]
+        model = Mlp(MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes,
+                            bn_mode=BnMode.L1))
+        train(model, task, dataclasses.replace(config, epochs=2))
+        x_train, y_train, _, _ = task.make()
+        return model, x_train, y_train
+
+    @pytest.mark.parametrize("block_elems, rows, blocks", [
+        (BLOCK_ELEMS, 3000, 6),  # 512-row steps: six blocks of 500
+        (64 * 7, 3000, 429),  # 7-row steps: blocks of 7 and of 6 rows
+        (1, 2999, 1499),  # 1-row steps: capped at 2-row blocks, one of 3
+    ], ids=["real", "small", "one-row-steps"])
+    def test_equals_whole_set_accuracy(self, trained, monkeypatch, block_elems, rows, blocks):
+        model, x, y = trained
+        x, y = x[:rows], y[:rows]
+        whole = float(np.mean(np.argmax(model.forward(x, training=False), axis=1) == y))
+        monkeypatch.setattr(trainer, "BLOCK_ELEMS", block_elems)
+        sizes, forward = [], model.forward
+
+        def spy(x_block, training):
+            sizes.append(len(x_block))
+            return forward(x_block, training)
+
+        monkeypatch.setattr(model, "forward", spy)
+        result = accuracy(model, x, y)
+        assert type(result) is float and result == whole  # a float64 would print otherwise
+        assert len(sizes) == blocks and sum(sizes) == rows
+        assert 2 <= min(sizes) and max(sizes) - min(sizes) <= 1
+
+    def test_peak_memory_is_a_few_blocks(self, trained):
+        # a whole-set forward peaks at 3 MB here: 3000 x 64 float64s per layer
+        model, x, y = trained
+        accuracy(model, x, y)  # first call outside the trace
+        tracemalloc.start()
+        try:
+            accuracy(model, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * BLOCK_ELEMS * 8
 
 
 class TestParity:
