@@ -86,6 +86,10 @@ INPUT_FILES = {
     "not_utf8.json": b'{"sign": \xff}',
     "zero_time.json": b'{"sign": {"time_ns": 0}, "abs": {"time_ns": 0}}',
     "zero_power.json": b'{"square": {"power_uw": 0}}',
+    # integer dimensions whose weighted totals pass float64's 1.8e308
+    "inf_power.arch": f"fc {2 * 10**307} 1 1 1\n".encode(),
+    "inf_time.arch": f"fc {10**154} 1 1 {10**154}\n".encode(),
+    "huge_count.arch": f"fc {10**400} 1 1 1\n".encode(),
 }
 
 
@@ -108,6 +112,9 @@ def cli_invocations() -> list[list[str]]:
         ["ratio", "--channel-map", "--seed", "6"],
         ["ratio", "--channel-map", "--dist", "uniform", "--channels", "4"],
         ["ratio", "--n", "5000", "--band", "0.5"],
+        # the stream is the one-channel map: the same bytes as the default stream
+        ["ratio", "--channel-map", "--m", "100000", "--channels", "1"],
+        ["ratio", "--channel-map", "--dist", "uniform", "--m", "100000", "--channels", "1"],
         ["gradcheck"],
         ["gradcheck", "--layouts", "2d,4d"],
         ["gradcheck", "--modes", "l1", "--step", "1e-5"],
@@ -130,6 +137,7 @@ def cli_invocations() -> list[list[str]]:
         ["gradcheck", "--step", "nan"],
         ["gradcheck", "--step", "inf"],
         ["gradcheck", "--step", "0"],
+        ["gradcheck", "--step=-inf"],
         ["gradcheck", "--threshold", "nan"],
         ["gradcheck", "--threshold", "-1"],
         ["gradcheck", "--threshold", "inf"],
@@ -141,6 +149,9 @@ def cli_invocations() -> list[list[str]]:
         ["ratio", "--channel-map", "--mu", "nan"],
         ["ratio", "--band", "-1"],
         ["ratio", "--n", "50"],
+        ["ratio", "--sigma", "0"],
+        # 711 PiB: beyond any 64-bit user address space, so the allocation fails at once
+        ["ratio", "--n", "100000000000000000"],
         ["cost", "--arch", "missing.arch"],
         ["cost", "--arch", "sample.arch", "--costs", "missing.json"],
         ["cost", "--arch", "sample.arch", "--costs", "root_costs.json"],
@@ -215,6 +226,8 @@ def run_cli(argv: list[str], outdir: str) -> str:
             code = cli.main(argv + ["--outdir", outdir])
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
+        except Exception as exc:  # a traceback: digest it, so two checkouts still compare
+            code = f"uncaught {type(exc).__name__}: {exc}"
     outputs = _outputs(Path(outdir)) if Path(outdir).is_dir() else []
     return _digest(str(code).encode(), out.getvalue().encode(), err.getvalue().encode(),
                    *outputs)

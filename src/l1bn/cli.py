@@ -21,15 +21,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .batchnorm import BnMode
+from .batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode
 from .costmodel import OpCosts, model_report, parse_architecture
 from .gradcheck import DEFAULT_STEP, check_layer
-from .ratio import (
-    DEFAULT_BAND_HALF_WIDTH,
-    channelwise_ratio_map,
-    gaussian_ratio_trial,
-    uniform_ratio_trial,
-)
+from .ratio import DEFAULT_BAND_HALF_WIDTH, channelwise_ratio_map
 from .tensor import Rng
 from .trainer import MlpSpec, SgdConfig, SyntheticTask, parity_gap
 
@@ -38,9 +33,8 @@ DEFAULT_SEED = 1234  # bare invocations are reproducible
 
 # Defaults of the options that only some runs read.  These parse to None, so
 # ``main`` can reject one the run does not read before it fills them in.
-GRADCHECK_DEFAULTS = {"m": 7, "d": 3, "height": 3, "width": 3, "channels": 2}
-RATIO_DEFAULTS = {"n": 100000, "mu": 0.0, "sigma": 1.0,
-                  "m": 64, "height": 8, "width": 8, "channels": 16}
+GRADCHECK_DEFAULTS = {"d": 3, "height": 3, "width": 3, "channels": 2}
+RATIO_DEFAULTS = {"n": 100000, "mu": 0.0, "sigma": 1.0, "m": 4096, "channels": 16}
 TRAIN_DEFAULTS = {"parity_tolerance_pp": 2.0}
 
 
@@ -122,8 +116,7 @@ def _unread(args) -> dict[str, str]:
         return unread
     if args.command == "ratio":
         unread = ({"n": "not read by --channel-map"} if args.channel_map else
-                  dict.fromkeys(("m", "height", "width", "channels"),
-                                "read only by --channel-map"))
+                  dict.fromkeys(("m", "channels"), "read only by --channel-map"))
         if args.dist == "uniform":
             unread.update(dict.fromkeys(("mu", "sigma"), "not read by --dist uniform"))
         return unread
@@ -164,22 +157,17 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ratio(args) -> int:
     outdir = Path(args.outdir)
-    if args.channel_map:
-        shape, rng = (args.m, args.height, args.width, args.channels), Rng(args.seed)
-        x = (rng.normal(shape, args.mu, args.sigma) if args.dist == "gaussian"
-             else rng.uniform(shape, -1.0, 1.0))
-        report = channelwise_ratio_map(x, band_half_width=args.band)
-    elif args.dist == "gaussian":
-        report = gaussian_ratio_trial(args.n, args.mu, args.sigma, seed=args.seed,
-                                      band_half_width=args.band)
-    else:
-        report = uniform_ratio_trial(args.n, seed=args.seed, band_half_width=args.band)
+    shape = (args.m, args.channels) if args.channel_map else (args.n, 1)  # a stream: 1 channel
+    rng = Rng(args.seed)
+    x = (rng.normal(shape, args.mu, args.sigma) if args.dist == "gaussian"
+         else rng.uniform(shape, -1.0, 1.0))
+    report = channelwise_ratio_map(x, band_half_width=args.band)
     _write_manifest(args)
     _write_csv(outdir / "ratios.csv", ["channel", "sigma_l2", "sigma_l1", "ratio"],
                report.rows())
     _write_json(outdir / "summary.json", report.to_dict())
     print(f"mean ratio sigma_l2/sigma_l1 = {report.mean_ratio:.4f} "
-          f"(gaussian constant {report.mean_ratio - report.gaussian_gap:.4f}, "
+          f"(gaussian constant {GAUSSIAN_STD_OVER_MAD:.4f}, "
           f"in band: {report.in_gaussian_band})")
     return 0
 
@@ -268,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of l2,l1,l1c")
     p.add_argument("--layouts", type=_comma_list(("2d", "4d")), default="2d",
                    help="comma list of 2d,4d")
-    p.add_argument("--m", type=_positive_int, help="batch size")
+    p.add_argument("--m", type=_positive_int, default=7, help="batch size")
     p.add_argument("--d", type=_positive_int, help="features (2d layout only)")
     p.add_argument("--height", type=_positive_int, help="spatial height (4d layout only)")
     p.add_argument("--width", type=_positive_int, help="spatial width (4d layout only)")
@@ -281,17 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratio", help="Monte Carlo std/mean-absolute-deviation ratio")
     p.add_argument("--n", type=_positive_int,
-                   help="sample count per trial (not with --channel-map)")
+                   help="sample count of the one stream (not with --channel-map)")
     p.add_argument("--mu", type=float, help="Gaussian mean (not with --dist uniform)")
     p.add_argument("--sigma", type=float, help="Gaussian std (not with --dist uniform)")
     p.add_argument("--dist", choices=("gaussian", "uniform"), default="gaussian")
     p.add_argument("--band", type=float, default=DEFAULT_BAND_HALF_WIDTH,
                    help="half-width of the Gaussian band")
     p.add_argument("--channel-map", action="store_true",
-                   help="per-channel map over a synthetic 4-D tensor instead of one stream")
-    p.add_argument("--m", type=_positive_int, help="map batch (--channel-map only)")
-    p.add_argument("--height", type=_positive_int, help="map height (--channel-map only)")
-    p.add_argument("--width", type=_positive_int, help="map width (--channel-map only)")
+                   help="per-channel map over synthetic (rows, channels) data instead of "
+                        "one stream")
+    p.add_argument("--m", type=_positive_int, help="map rows per channel (--channel-map only)")
     p.add_argument("--channels", type=_positive_int, help="map channels (--channel-map only)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--outdir", default="runs/ratio")
@@ -339,7 +326,7 @@ def main(argv=None) -> int:
             setattr(args, name, value)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # library errors surface as exit 1
+    except (ValueError, OSError, MemoryError) as exc:  # library errors surface as exit 1
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

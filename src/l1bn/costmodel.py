@@ -142,12 +142,18 @@ def count_ops(shape: LayerShape, mode: BnMode, training: bool = True) -> dict[st
 
 def weigh(counts: dict[str, int], costs: OpCosts,
           include_root: bool = True) -> dict[str, float]:
-    """Weighted time (ns) and power (µW) totals for a count vector; no other field weighs."""
+    """Weighted time (ns) and power (µW) totals for a count vector; no other field weighs.
+
+    A total beyond float64's range is inf, and so is each total of a count beyond it.
+    """
     ops = [op for op in OP_NAMES if include_root or op != "root"]
-    return {
-        "time_ns": float(sum(counts[op] * getattr(costs, op).time_ns for op in ops)),
-        "power_uw": float(sum(counts[op] * getattr(costs, op).power_uw for op in ops)),
-    }
+    try:
+        return {
+            "time_ns": float(sum(counts[op] * getattr(costs, op).time_ns for op in ops)),
+            "power_uw": float(sum(counts[op] * getattr(costs, op).power_uw for op in ops)),
+        }
+    except OverflowError:  # a count too large for a float enters both sums
+        return dict.fromkeys(("time_ns", "power_uw"), math.inf)
 
 
 @dataclass
@@ -213,8 +219,10 @@ def model_report(layers: list[LayerShape], costs: OpCosts = OpCosts(),
                  include_root: bool = False) -> CostProfile:
     """Per-layer and total time/power under both norms for one architecture.
 
-    Raises ValueError when L1's total time or L2's total power is zero, since
-    the time ratio or the power saving would then divide by it.
+    Raises ValueError when a total overflows float64, and when L1's total time
+    or L2's total power is zero, since the time ratio or the power saving would
+    then divide by it.  Weights are nonnegative, so finite totals leave every
+    layer's figures finite too.
     """
     layer_costs = []
     for shape in layers:
@@ -231,6 +239,10 @@ def model_report(layers: list[LayerShape], costs: OpCosts = OpCosts(),
     counts_l1 = {op: sum(lc.counts_l1[op] for lc in layer_costs) for op in OP_NAMES}
     totals_l2 = weigh(counts_l2, costs, include_root)
     totals_l1 = weigh(counts_l1, costs, include_root)
+    for norm, totals in (("L2", totals_l2), ("L1", totals_l1)):
+        for field, value in totals.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{norm} total {field} overflows float64")
     if not totals_l1["time_ns"]:
         raise ValueError("L1 total time_ns is 0, so the L2/L1 time ratio is undefined")
     if not totals_l2["power_uw"]:

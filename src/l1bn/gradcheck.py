@@ -55,9 +55,7 @@ def finite_diff(f, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
     equals the coordinate-at-a-time loop whenever ``f`` treats the points of a
     stack independently.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if not np.isfinite(step):
+    if not 0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)

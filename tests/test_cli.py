@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,20 @@ class TestRatioCommand:
             lambda d: ["ratio", "--n", "5000", "--outdir", d], tmp_path,
             ["ratios.csv", "summary.json"],
         )
+
+    @pytest.mark.parametrize("dist", [["--mu=-3", "--sigma", "2"], ["--dist", "uniform"]],
+                             ids=["gaussian", "uniform"])
+    def test_stream_is_the_one_channel_map(self, tmp_path, capsys, dist):
+        runs = {"stream": ["--n", "5000"],
+                "map": ["--channel-map", "--m", "5000", "--channels", "1"]}
+        written = {}
+        for name, source in runs.items():
+            outdir = tmp_path / name
+            assert main(["ratio", *dist, *source, "--outdir", str(outdir)]) == 0
+            snap = snapshot(outdir)
+            del snap["manifest.json"]
+            written[name] = (snap, capsys.readouterr().out)
+        assert written["stream"] == written["map"]
 
 
 class TestTrainCommand:
@@ -409,8 +424,8 @@ NON_FINITE = "ratio: channel 0 has a non-finite deviation; its ratio is undefine
 
 
 class TestOneLineErrors:
-    """Failing input ends the process with exit 1 and one stderr line, with no
-    numpy warning before it."""
+    """Failing input ends the run with exit 1 and one stderr line, with no
+    warning before it and no output directory."""
 
     @pytest.mark.parametrize("argv, line", [
         (["gradcheck", "--step", "1e308"],
@@ -448,14 +463,30 @@ class TestOneLineErrors:
          "cost: L2 total power_uw is 0, so the power saving is undefined"),
         (["cost", "--arch", SAMPLE_ARCH, "--costs", "{root}"],
          "cost: {root}: root weights are read only with --include-root"),
+        (["cost", "--arch", "{inf_power}"], "cost: L2 total power_uw overflows float64"),
+        (["cost", "--arch", "{inf_time}"], "cost: L2 total time_ns overflows float64"),
+        (["cost", "--arch", "{huge_count}"], "cost: L2 total time_ns overflows float64"),
+        (["gradcheck", "--step", "0"], "gradcheck: step must be positive and finite, got 0.0"),
+        (["gradcheck", "--step=-inf"],
+         "gradcheck: step must be positive and finite, got -inf"),
+        (["ratio", "--n", "50"], "ratio: pooled count 50 < 100; ratios would be noise"),
+        (["ratio", "--sigma", "0"], "ratio: channel 0 has zero deviation; its ratio is undefined"),
+        # 711 PiB is beyond any 64-bit user address space, so the allocation fails
+        # at once; a size that could be allocated must never be tried here
+        (["ratio", "--n", "100000000000000000"],
+         "ratio: Unable to allocate 711. PiB for an array with shape "
+         "(100000000000000000, 1) and data type float64"),
     ], ids=["gradcheck-overflow", "gradcheck-step-nan", "gradcheck-step-inf",
             "gradcheck-threshold-nan", "gradcheck-negative-threshold", "gradcheck-threshold-inf",
             "ratio-constant-channel", "cost-no-layers", "cost-missing-arch", "ratio-mu-inf",
             "ratio-mu-nan", "ratio-sigma-inf", "ratio-channel-map-mu-nan", "ratio-negative-band",
             "train-tolerance-nan", "train-negative-tolerance", "train-tolerance-inf",
             "cost-arch-not-utf8", "cost-zero-l1-time", "cost-zero-l2-power",
-            "cost-root-without-include-root"])
-    def test_exit_one_with_one_stderr_line(self, tmp_path, argv, line):
+            "cost-root-without-include-root", "cost-l2-power-overflows",
+            "cost-l2-time-overflows", "cost-count-beyond-float", "gradcheck-step-zero",
+            "gradcheck-step-minus-inf", "ratio-stream-floor", "ratio-stream-constant",
+            "ratio-allocation-fails"])
+    def test_exit_one_with_one_stderr_line(self, tmp_path, capsys, argv, line):
         latin1 = tmp_path / "latin1.arch"
         latin1.write_bytes("conv_\u00e9 32 8 8 16\n".encode("latin-1"))
         zero_time, zero_power = tmp_path / "zero_time.json", tmp_path / "zero_power.json"
@@ -466,15 +497,20 @@ class TestOneLineErrors:
         paths = {"empty": write_arch(tmp_path, "empty.arch", ["# no layers here"]),
                  "missing": str(tmp_path / "missing.arch"), "latin1": str(latin1),
                  "zero_time": str(zero_time), "zero_power": str(zero_power),
-                 "root": str(root)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "l1bn.cli", *(a.format(**paths) for a in argv),
-             "--outdir", str(tmp_path / "out")],
-            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
-            timeout=60)
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [line.format(**paths)]
-        assert proc.stdout == ""
+                 "root": str(root),
+                 # integers whose weighted totals pass float64's 1.8e308
+                 "inf_power": write_arch(tmp_path, "inf_power.arch", [f"fc {2 * 10**307} 1 1 1"]),
+                 "inf_time": write_arch(tmp_path, "inf_time.arch",
+                                        [f"fc {10**154} 1 1 {10**154}"]),
+                 "huge_count": write_arch(tmp_path, "huge_count.arch", [f"fc {10**400} 1 1 1"])}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*(a.format(**paths) for a in argv), "--outdir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.splitlines() == [line.format(**paths)]
+        assert out == ""
+        assert caught == []
         assert not (tmp_path / "out").exists()
 
 
@@ -506,8 +542,6 @@ class TestUsage:
         ["gradcheck", "--layouts", "4d", "--channels", "0"],
         ["ratio", "--n", "0"],
         ["ratio", "--channel-map", "--m", "0"],
-        ["ratio", "--channel-map", "--height", "0"],
-        ["ratio", "--channel-map", "--width", "0"],
         ["ratio", "--channel-map", "--channels", "0"],
         ["gradcheck", "--modes", "l2,l2"],
         ["gradcheck", "--layouts", "2d,4d,2d"],
@@ -539,7 +573,7 @@ class TestUsage:
 
 RATIO = ["ratio", "--n", "1000"]
 UNIFORM = ["ratio", "--dist", "uniform", "--n", "1000"]
-MAP = ["ratio", "--channel-map", "--m", "8", "--height", "4", "--width", "4", "--channels", "3"]
+MAP = ["ratio", "--channel-map", "--m", "128", "--channels", "3"]
 UNIFORM_MAP = MAP + ["--dist", "uniform"]
 GC_2D = ["gradcheck", "--modes", "l1"]
 GC_4D = GC_2D + ["--layouts", "4d"]
@@ -560,17 +594,13 @@ INPUT_CASES = [
     (RATIO, ["--dist", "uniform"], CHANGED),
     (RATIO, ["--channel-map"], "argument --n: not read by --channel-map"),
     (RATIO, ["--m", "4"], "argument --m: read only by --channel-map"),
-    (RATIO, ["--height", "2"], "argument --height: read only by --channel-map"),
-    (RATIO, ["--width", "2"], "argument --width: read only by --channel-map"),
     (RATIO, ["--channels", "3"], "argument --channels: read only by --channel-map"),
     (UNIFORM, ["--n", "2000"], CHANGED),
     (UNIFORM, ["--seed", "5"], CHANGED),
     (UNIFORM, ["--band", "0.5"], CHANGED),
     (UNIFORM, ["--mu", "1"], "argument --mu: not read by --dist uniform"),
     (UNIFORM, ["--sigma", "2"], "argument --sigma: not read by --dist uniform"),
-    (MAP, ["--m", "9"], CHANGED),
-    (MAP, ["--height", "5"], CHANGED),
-    (MAP, ["--width", "5"], CHANGED),
+    (MAP, ["--m", "144"], CHANGED),
     (MAP, ["--channels", "2"], CHANGED),
     (MAP, ["--mu", "100"], CHANGED),
     (MAP, ["--sigma", "2"], CHANGED),
@@ -578,7 +608,7 @@ INPUT_CASES = [
     (MAP, ["--band", "0.5"], CHANGED),
     (MAP, ["--dist", "uniform"], CHANGED),
     (MAP, ["--n", "2000"], "argument --n: not read by --channel-map"),
-    (UNIFORM_MAP, ["--m", "9"], CHANGED),
+    (UNIFORM_MAP, ["--m", "144"], CHANGED),
     (UNIFORM_MAP, ["--mu", "1"], "argument --mu: not read by --dist uniform"),
     (UNIFORM_MAP, ["--sigma", "2"], "argument --sigma: not read by --dist uniform"),
     (GC_2D, ["--m", "5"], CHANGED),

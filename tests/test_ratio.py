@@ -43,12 +43,17 @@ class TestGaussianTrial:
         assert np.all(report.ratios > 0)
 
     def test_small_n_rejected(self):
-        with pytest.raises(ValueError, match="need at least 100 samples, got 99"):
+        # a stream is the (n, 1) map, so the map's pooled-count floor applies
+        with pytest.raises(ValueError, match="^pooled count 99 < 100; ratios would be noise$"):
             gaussian_ratio_trial(99)
 
-    def test_bad_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma must be positive, got 0.0"):
+    def test_zero_sigma_is_a_constant_channel(self):
+        with pytest.raises(ValueError, match="^channel 0 has zero deviation; "):
             gaussian_ratio_trial(1000, sigma=0.0)
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ValueError, match="^sigma must be nonnegative, got -1.0$"):
+            gaussian_ratio_trial(1000, sigma=-1.0)
 
     @pytest.mark.parametrize("mu, sigma", [(np.inf, 1.0), (np.nan, 1.0), (0.0, np.inf)])
     def test_non_finite_parameters_rejected(self, mu, sigma):
@@ -86,7 +91,7 @@ class TestUniformControl:
         assert not report.in_gaussian_band
 
     def test_small_n_rejected(self):
-        with pytest.raises(ValueError, match="at least 100"):
+        with pytest.raises(ValueError, match="^pooled count 50 < 100; "):
             uniform_ratio_trial(50)
 
 
@@ -109,6 +114,13 @@ class TestChannelwiseMap:
     def test_pooled_count_floor(self):
         with pytest.raises(ValueError, match="pooled count 64 < 100"):
             channelwise_ratio_map(Rng(0).normal((4, 4, 4, 2)))
+
+    def test_map_depends_only_on_its_rows(self):
+        # m·h·w pooled rows in C order: any 4-D view of the same draw is the 2-D map
+        x = Rng(9).normal((256, 3))
+        flat = channelwise_ratio_map(x).to_dict()
+        for shape in [(2, 32, 4, 3), (256, 1, 1, 3), (1, 16, 16, 3)]:
+            assert channelwise_ratio_map(x.reshape(shape)).to_dict() == flat
 
     @pytest.mark.parametrize("shape", [(200, 0), (64, 8, 8, 0)])
     def test_no_features_rejected(self, shape):
