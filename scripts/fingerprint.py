@@ -183,6 +183,9 @@ def cli_invocations() -> list[list[str]]:
         ["train", "--epochs", "0"],
         ["train", "--parity-tolerance-pp", "nan"],
         ["train", "--modes", "l1c", "--runs", "1", "--epochs", "1", "--parity-tolerance-pp", "0"],
+        ["train", "--seed", "-1", "--runs", "1", "--epochs", "1"],
+        ["ratio", "--seed", "-1"],
+        ["gradcheck", "--seed", "-1"],
         ["cost"],
     ]
     return runs
@@ -245,8 +248,10 @@ def kernel_arrays(shape, mode: BnMode, affine: bool, nan: bool) -> list[np.ndarr
     x[..., 1], x[..., 2] = 0.1, 3.0  # constant channels; a mean of 0.1s may round off 0.1
     if nan:
         x.reshape(-1, c)[1, 3] = np.nan
-    params = BnParams(rng.uniform((c,), 0.5, 1.5), rng.uniform((c,), -0.5, 0.5),
-                      mode=mode, use_affine=affine)
+    gamma, beta = rng.uniform((c,), 0.5, 1.5), rng.uniform((c,), -0.5, 0.5)
+    if not affine:  # drawn all the same, so d_y keeps its draw
+        gamma, beta = np.ones(c), np.zeros(c)
+    params = BnParams(gamma, beta, mode=mode, use_affine=affine)
     d_y = rng.normal(shape)
     y, cache = bn_forward_train(x, params)
     grads = bn_backward(d_y, cache, params)

@@ -5,7 +5,7 @@ Training forward, per feature (statistics pooled over the batch axes):
     μ_B = (1/m) Σ_i x_i
     L2:  σ_B = sqrt((1/m) Σ_i (x_i - μ_B)²),   x̂ = (x - μ_B) / sqrt(σ_B² + ε)
     L1:  σ_B = (1/m) Σ_i |x_i - μ_B|,          x̂ = (x - μ_B) / (σ_B + ε)
-    y   = γ·x̂ + β            (when the affine stage is enabled)
+    y   = γ·x̂ + β            (γ = 1, β = 0 without the affine stage)
 
 The L1 deviation of a Gaussian is smaller than its standard deviation by the
 constant sqrt(π/2) ≈ 1.2533; ``L1_COMPENSATED`` folds that factor into σ_B so
@@ -100,6 +100,10 @@ class BnParams:
             )
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        # β must be +0.0: x̂ + (-0.0) keeps an x̂ of -0.0, which x̂ + 0.0 makes +0.0
+        if not self.use_affine and not (np.all(self.gamma == 1.0) and np.all(self.beta == 0.0)
+                                        and not np.signbit(self.beta).any()):
+            raise ValueError("without the affine stage gamma must be 1.0 and beta +0.0")
 
     @classmethod
     def init(cls, num_features: int, mode: BnMode = BnMode.L2, epsilon: float = 1e-5,
@@ -247,12 +251,10 @@ def bn_forward_train(x: np.ndarray, params: BnParams) -> tuple[np.ndarray, BnCac
         y = np.abs(x_hat)  # |x - μ_B|; the buffer then takes the output
         sigma = _mean_rows(y) * _compensation(params.mode)
         denom = sigma + params.epsilon
-    # without the affine stage y = 1·x̂ + 0 is still its own array, not the cache's x̂
-    gamma, beta = (params.gamma, params.beta) if params.use_affine else (1.0, 0.0)
     for hb, yb in _row_blocks(x_hat, y):
         hb /= denom
-        np.multiply(hb, gamma, out=yb)
-        yb += beta
+        np.multiply(hb, params.gamma, out=yb)
+        yb += params.beta
     cache = BnCache(mu_b=mu, sigma_b=sigma, x_hat=x_hat.reshape(x.shape), mode=params.mode,
                     denom=denom)
     return y.reshape(x.shape), cache
@@ -281,8 +283,7 @@ def bn_backward(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle
     d_y = _check_upstream(d_y, cache)
     dy, x_hat = rows(d_y), rows(cache.x_hat)
     sum_dy, sum_dy_xhat = dy.sum(axis=0), np.einsum("ij,ij->j", dy, x_hat)
-    gamma = params.gamma if params.use_affine else 1.0
-    mean_g, mean_gx = gamma * sum_dy / len(dy), gamma * sum_dy_xhat / len(dy)
+    mean_g, mean_gx = params.gamma * sum_dy / len(dy), params.gamma * sum_dy_xhat / len(dy)
     if cache.mode is BnMode.L2:
         v, d_input, v_scale = x_hat, np.empty_like(dy), -mean_gx / cache.denom
     else:
@@ -290,7 +291,7 @@ def bn_backward(d_y: np.ndarray, cache: BnCache, params: BnParams) -> GradBundle
         v = d_input = sign(x_hat)  # sgn(x̂) == sgn(x - μ) since denom > 0
         mean_g = mean_g - k * mean_gx * _mean_rows(v)  # the per-feature part of μ(g·x̂)·v
         v_scale = -k * mean_gx / cache.denom
-    g_scale, shift = gamma / cache.denom, mean_g / cache.denom
+    g_scale, shift = params.gamma / cache.denom, mean_g / cache.denom
     for vb, dyb, db in _row_blocks(v, dy, d_input):
         np.multiply(vb, v_scale, out=db)
         db += dyb * g_scale  # the one temporary: a block of d_y·γ/denom
@@ -324,7 +325,7 @@ def bn_backward_l1_naive(d_y: np.ndarray, cache: BnCache, params: BnParams) -> G
         raise ValueError("L1 backward got an l2 cache")
     d_y = _check_upstream(d_y, cache)
     dy, x_hat = rows(d_y), rows(cache.x_hat)
-    g = dy * params.gamma if params.use_affine else dy
+    g = dy * params.gamma
     m = len(g)
     comp = _compensation(cache.mode)
     denom = cache.denom  # σ+ε, as the forward stored it
@@ -375,9 +376,7 @@ def bn_forward_infer(x: np.ndarray, params: BnParams, state: BnState) -> np.ndar
         denom = np.sqrt(state.running_sigma * state.running_sigma + params.epsilon)
     else:
         denom = state.running_sigma + params.epsilon
-    gamma = params.gamma if params.use_affine else np.ones(params.num_features)
-    beta = params.beta if params.use_affine else np.zeros(params.num_features)
-    scale = gamma / denom
-    shift = beta - scale * state.running_mu
+    scale = params.gamma / denom
+    shift = params.beta - scale * state.running_mu
     y = np.multiply(x, scale)
     return np.add(y, shift, out=y)

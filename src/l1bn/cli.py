@@ -52,11 +52,19 @@ def _comma_list(choices: tuple[str, ...]):
     return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an integer >= ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'", as for type=int
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)  # numpy's generators take no negative seed
 
 
 def _write_output(path: Path, text: str) -> None:
@@ -199,10 +207,10 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         config = dataclasses.replace(config, epochs=args.epochs)
     names = args.modes.split(",")
-    _write_manifest(args)
     summary = parity_gap(task, MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes),
                          config, seeds=tuple(args.seed + k for k in range(args.runs)),
                          modes=tuple(None if m == "none" else BnMode(m) for m in names))
+    _write_manifest(args)
     for mode, records in summary.pop("records").items():
         for rec in records:
             _write_csv(outdir / f"{mode}_seed{rec.seed}.csv",
@@ -263,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=_positive_int, help="channels (4d layout only)")
     p.add_argument("--step", type=float, default=DEFAULT_STEP, help="finite-difference step")
     p.add_argument("--threshold", type=float, default=1e-5, help="max allowed relative error")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--outdir", default="runs/gradcheck")
     p.set_defaults(func=cmd_gradcheck)
 
@@ -280,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "one stream")
     p.add_argument("--m", type=_positive_int, help="map rows per channel (--channel-map only)")
     p.add_argument("--channels", type=_positive_int, help="map channels (--channel-map only)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--outdir", default="runs/ratio")
     p.set_defaults(func=cmd_ratio)
 
@@ -296,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity-tolerance-pp", type=float,
                    help="largest L1 vs L2 mean-accuracy gap that exits 0 (default "
                         f"{TRAIN_DEFAULTS['parity_tolerance_pp']}; only when both run)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--outdir", default="runs/train")
     p.set_defaults(func=cmd_train)
 

@@ -76,35 +76,6 @@ class RatioReport:
         }
 
 
-def _report(x: np.ndarray, band_half_width: float) -> RatioReport:
-    if not 0 <= band_half_width < math.inf:
-        raise ValueError(f"band half-width must be finite and >= 0, got {band_half_width}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation raises below
-        sigma_l2 = batch_deviation(x, BnMode.L2)
-        sigma_l1 = batch_deviation(x, BnMode.L1)
-    finite = np.isfinite(sigma_l2) & np.isfinite(sigma_l1)
-    undefined = np.flatnonzero(~finite | (sigma_l2 == 0) | (sigma_l1 == 0))
-    if undefined.size:
-        k = undefined[0]
-        what = "zero deviation" if finite[k] else "a non-finite deviation"
-        raise ValueError(f"channel {k} has {what}; its ratio is undefined")
-    ratios = sigma_l2 / sigma_l1
-    mean_ratio = float(np.mean(ratios))
-    gap = mean_ratio - GAUSSIAN_STD_OVER_MAD
-    return RatioReport(
-        sigma_l2=sigma_l2,
-        sigma_l1=sigma_l1,
-        ratios=ratios,
-        mean_ratio=mean_ratio,
-        gaussian_gap=gap,
-        in_gaussian_band=bool(abs(gap) <= band_half_width),
-        band_half_width=band_half_width,
-        sample_count=len(rows(x)),
-        hist_l2=Histogram.of(sigma_l2),
-        hist_l1=Histogram.of(sigma_l1),
-    )
-
-
 def gaussian_ratio_trial(n: int, mu: float = 0.0, sigma: float = 1.0,
                          seed: int = 0,
                          band_half_width: float = DEFAULT_BAND_HALF_WIDTH) -> RatioReport:
@@ -127,4 +98,29 @@ def channelwise_ratio_map(x: np.ndarray,
         raise ValueError(f"tensor of shape {x.shape} has no features")
     if pooled < 100:
         raise ValueError(f"pooled count {pooled} < 100; ratios would be noise")
-    return _report(x, band_half_width)
+    if not 0 <= band_half_width < math.inf:
+        raise ValueError(f"band half-width must be finite and >= 0, got {band_half_width}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation raises below
+        sigma_l2 = batch_deviation(x, BnMode.L2)
+        sigma_l1 = batch_deviation(x, BnMode.L1)
+    finite = np.isfinite(sigma_l2) & np.isfinite(sigma_l1)
+    undefined = np.flatnonzero(~finite | (sigma_l2 == 0) | (sigma_l1 == 0))
+    if undefined.size:
+        k = undefined[0]
+        what = "zero deviation" if finite[k] else "a non-finite deviation"
+        raise ValueError(f"channel {k} has {what}; its ratio is undefined")
+    ratios = sigma_l2 / sigma_l1
+    mean_ratio = float(np.mean(ratios))
+    gap = mean_ratio - GAUSSIAN_STD_OVER_MAD
+    return RatioReport(
+        sigma_l2=sigma_l2,
+        sigma_l1=sigma_l1,
+        ratios=ratios,
+        mean_ratio=mean_ratio,
+        gaussian_gap=gap,
+        in_gaussian_band=bool(abs(gap) <= band_half_width),
+        band_half_width=band_half_width,
+        sample_count=pooled,
+        hist_l2=Histogram.of(sigma_l2),
+        hist_l1=Histogram.of(sigma_l1),
+    )

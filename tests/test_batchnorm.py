@@ -50,7 +50,7 @@ def l2_backward_reference(d_y, cache, params):
 
     Returns (d_input, d_gamma, d_beta); the last two as if γ were trainable.
     """
-    g = d_y * params.gamma if params.use_affine else d_y
+    g = d_y * params.gamma
     axes = tuple(range(g.ndim - 1))  # every axis but the last
     m = math.prod(g.shape[:-1])
     var_eps = cache.sigma_b * cache.sigma_b + params.epsilon
@@ -409,9 +409,10 @@ class TestSharedBackward:
         rng = Rng(21)
         x = rng.normal(shape, mu=-1.0, sigma=3.0)
         d_y = rng.normal(shape)
-        params = BnParams(gamma=rng.uniform((shape[-1],), 0.5, 1.5),
-                          beta=rng.uniform((shape[-1],), -0.5, 0.5),
-                          mode=mode, use_affine=use_affine)
+        gamma, beta = rng.uniform((shape[-1],), 0.5, 1.5), rng.uniform((shape[-1],), -0.5, 0.5)
+        if not use_affine:  # drawn all the same, so every other value stays as it was
+            gamma, beta = np.ones_like(gamma), np.zeros_like(beta)
+        params = BnParams(gamma=gamma, beta=beta, mode=mode, use_affine=use_affine)
         _, cache = bn_forward_train(x, params)
         got = bn_backward(d_y, cache, params)
         if mode is BnMode.L2:
@@ -774,8 +775,9 @@ class TestRowBlocks:
         x.reshape(-1, shape[-1])[0, 3] = np.nan
         d_y = rng.normal(shape)
         c = shape[-1]
-        params = BnParams(gamma=np.linspace(0.5, 1.5, c), beta=np.linspace(-0.5, 0.5, c),
-                          mode=mode, use_affine=use_affine)
+        gamma, beta = ((np.linspace(0.5, 1.5, c), np.linspace(-0.5, 0.5, c)) if use_affine
+                       else (np.ones(c), np.zeros(c)))
+        params = BnParams(gamma=gamma, beta=beta, mode=mode, use_affine=use_affine)
         monkeypatch.setattr(batchnorm, "BLOCK_ELEMS", x.size)  # one block
         expected = self.outputs(x, d_y, params)
         for block_rows in (1, 7):
@@ -821,3 +823,16 @@ class TestParams:
     def test_gamma_beta_must_be_1d(self):
         with pytest.raises(ValueError, match="1-D"):
             BnParams(gamma=np.ones((3, 1)), beta=np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("gamma, beta", [
+        ([1.0, 2.0, 1.0], [0.0, 0.0, 0.0]),
+        ([1.0, 1.0, 1.0], [0.0, 0.5, 0.0]),
+        ([1.0, 1.0, 1.0], [0.0, -0.0, 0.0]),  # x̂ + (-0.0) would keep an x̂ of -0.0
+        ([1.0, np.nan, 1.0], [0.0, 0.0, 0.0]),
+        ([1.0, 1.0, 1.0], [0.0, np.nan, 0.0]),
+    ], ids=["gamma-2", "beta-0.5", "beta-minus-zero", "gamma-nan", "beta-nan"])
+    def test_non_affine_holds_identity(self, gamma, beta):
+        with pytest.raises(ValueError, match="^without the affine stage gamma must be 1.0 "
+                                             r"and beta \+0.0$"):
+            BnParams(gamma=gamma, beta=beta, use_affine=False)
+        BnParams(gamma=gamma, beta=beta)  # the affine stage takes any values

@@ -546,6 +546,9 @@ class TestUsage:
         ["gradcheck", "--modes", "l2,l2"],
         ["gradcheck", "--layouts", "2d,4d,2d"],
         ["train", "--modes", "l2,l1,l2"],
+        ["train", "--seed", "-1", "--runs", "1", "--epochs", "1"],
+        ["ratio", "--seed", "-1"],
+        ["gradcheck", "--seed", "-1"],
     ])
     def test_bad_option_value_is_usage_error(self, argv, tmp_path):
         with pytest.raises(SystemExit) as exc:
