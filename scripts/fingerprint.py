@@ -13,7 +13,10 @@ Three groups of work run in-process, from a fresh temporary directory unless
 
 An invocation's digest covers its exit code, stdout, stderr and every file it
 wrote, with ``outdir`` dropped from ``manifest.json``.  The script prints one
-JSON object: a SHA-256 per invocation, per group and overall.  No golden digest
+JSON object: a SHA-256 per invocation, per group and overall, and under
+``invocations_without_manifest`` a second digest of each ``cli`` and ``train``
+invocation that leaves ``manifest.json`` out, for comparing runs whose
+options differ but whose results should not.  No golden digest
 is kept, since matmul bits depend on the BLAS build: compare two checkouts on
 one machine instead.
 
@@ -111,18 +114,17 @@ def cli_invocations() -> list[list[str]]:
         ["ratio", "--dist", "uniform", "--seed", "5"],
         ["ratio", "--channel-map", "--seed", "6"],
         ["ratio", "--channel-map", "--dist", "uniform", "--channels", "4"],
-        ["ratio", "--n", "5000", "--band", "0.5"],
+        ["ratio", "--n", "5000"],
         # the stream is the one-channel map: the same bytes as the default stream
         ["ratio", "--channel-map", "--m", "100000", "--channels", "1"],
         ["ratio", "--channel-map", "--dist", "uniform", "--m", "100000", "--channels", "1"],
         ["gradcheck"],
         ["gradcheck", "--layouts", "2d,4d"],
         ["gradcheck", "--modes", "l1", "--step", "1e-5"],
-        ["gradcheck", "--modes", "l2", "--step", "3e-7", "--threshold", "1e-4"],
+        ["gradcheck", "--modes", "l2", "--step", "3e-7"],
         # pooled count 128: the L1 modes land just above 1e-5, so this exits 1
         ["gradcheck", "--layouts", "2d,4d", "--m", "16", "--d", "16", "--height", "4",
          "--width", "4", "--channels", "8"],
-        ["gradcheck", "--threshold", "1e-12"],
     ]
     for arch in ARCH_FILES:
         runs += [["cost", "--arch", arch], ["cost", "--arch", arch, "--include-root"]]
@@ -138,16 +140,12 @@ def cli_invocations() -> list[list[str]]:
         ["gradcheck", "--step", "inf"],
         ["gradcheck", "--step", "0"],
         ["gradcheck", "--step=-inf"],
-        ["gradcheck", "--threshold", "nan"],
-        ["gradcheck", "--threshold", "-1"],
-        ["gradcheck", "--threshold", "inf"],
         ["gradcheck", "--m", "1"],
         ["ratio", "--channel-map", "--sigma", "0"],
         ["ratio", "--mu", "inf"],
         ["ratio", "--mu", "nan"],
         ["ratio", "--sigma", "inf"],
         ["ratio", "--channel-map", "--mu", "nan"],
-        ["ratio", "--band", "-1"],
         ["ratio", "--n", "50"],
         ["ratio", "--sigma", "0"],
         # 711 PiB: beyond any 64-bit user address space, so the allocation fails at once
@@ -181,11 +179,13 @@ def cli_invocations() -> list[list[str]]:
         ["train", "--modes", "l2,l1,l2"],
         ["train", "--runs", "0"],
         ["train", "--epochs", "0"],
-        ["train", "--parity-tolerance-pp", "nan"],
-        ["train", "--modes", "l1c", "--runs", "1", "--epochs", "1", "--parity-tolerance-pp", "0"],
         ["train", "--seed", "-1", "--runs", "1", "--epochs", "1"],
         ["ratio", "--seed", "-1"],
         ["gradcheck", "--seed", "-1"],
+        # the pass/fail bounds are constants, not options
+        ["gradcheck", "--threshold", "1e-5"],
+        ["ratio", "--band", "0.01"],
+        ["train", "--parity-tolerance-pp", "2"],
         ["cost"],
     ]
     return runs
@@ -195,8 +195,8 @@ TRAIN_INVOCATIONS = [
     ["train", "--preset", "sanity", "--runs", "1", "--epochs", "2"],
     ["train", "--preset", "parity", "--runs", "1", "--epochs", "2"],
     ["train", "--preset", "sanity", "--modes", "l2,l1,l1c,none", "--runs", "1", "--epochs", "2"],
-    ["train", "--preset", "parity", "--runs", "1", "--epochs", "1",
-     "--parity-tolerance-pp", "0"],
+    # gap 2.10 pp > 2.0 with OpenBLAS 0.3.31 on x86-64, so this exits 1
+    ["train", "--preset", "parity", "--runs", "1", "--epochs", "1", "--seed", "57"],
 ]
 
 
@@ -208,21 +208,22 @@ def _digest(*parts: bytes) -> str:
     return h.hexdigest()
 
 
-def _outputs(outdir: Path) -> list[bytes]:
+def _outputs(outdir: Path) -> list[tuple[str, bytes]]:
     """Name and bytes of every file under ``outdir``, the manifest without ``outdir``."""
-    parts = []
+    files = []
     for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
         data = path.read_bytes()
         if path.name == "manifest.json":
             manifest = json.loads(data)
             manifest["options"].pop("outdir", None)
             data = json.dumps(manifest, indent=2, sort_keys=True).encode()
-        parts += [path.relative_to(outdir).as_posix().encode(), data]
-    return parts
+        files.append((path.relative_to(outdir).as_posix(), data))
+    return files
 
 
-def run_cli(argv: list[str], outdir: str) -> str:
-    """Digest of one in-process CLI call: exit code, stdout, stderr and outputs."""
+def run_cli(argv: list[str], outdir: str) -> tuple[str, str]:
+    """Digests of one in-process CLI call: exit code, stdout, stderr and outputs,
+    then the same without ``manifest.json``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -231,9 +232,13 @@ def run_cli(argv: list[str], outdir: str) -> str:
             code = exc.code
         except Exception as exc:  # a traceback: digest it, so two checkouts still compare
             code = f"uncaught {type(exc).__name__}: {exc}"
-    outputs = _outputs(Path(outdir)) if Path(outdir).is_dir() else []
-    return _digest(str(code).encode(), out.getvalue().encode(), err.getvalue().encode(),
-                   *outputs)
+    files = _outputs(Path(outdir)) if Path(outdir).is_dir() else []
+    streams = (str(code).encode(), out.getvalue().encode(), err.getvalue().encode())
+
+    def digest(kept):
+        return _digest(*streams, *(part for name, data in kept for part in (name.encode(), data)))
+
+    return digest(files), digest([f for f in files if f[0] != "manifest.json"])
 
 
 # One block, one row per block (c > BLOCK_ELEMS), one block and two blocks.
@@ -272,6 +277,7 @@ def fingerprint(workdir: Path) -> dict:
     for name, data in INPUT_FILES.items():
         (workdir / name).write_bytes(data)
     groups: dict[str, dict[str, str]] = {"cli": {}, "train": {}, "kernel": {}}
+    without_manifest: dict[str, dict[str, str]] = {"cli": {}, "train": {}}
     cwd = os.getcwd()
     os.chdir(workdir)  # relative paths keep the work directory out of every message
     try:
@@ -279,7 +285,9 @@ def fingerprint(workdir: Path) -> dict:
             warnings.simplefilter("always")  # the same warning lines on every run
             for group, invocations in (("cli", cli_invocations()), ("train", TRAIN_INVOCATIONS)):
                 for i, argv in enumerate(invocations):
-                    groups[group][" ".join(argv)] = run_cli(argv, f"out/{group}{i:03d}")
+                    name = " ".join(argv)
+                    groups[group][name], without_manifest[group][name] = run_cli(
+                        argv, f"out/{group}{i:03d}")
             for shape, mode, affine, nan in itertools.product(
                     KERNEL_SHAPES, BnMode, (True, False), (False, True)):
                 name = f"{mode.value} {shape} affine={affine} nan={nan}"
@@ -292,6 +300,7 @@ def fingerprint(workdir: Path) -> dict:
               for group, digests in groups.items()}
     result["overall"] = _digest(*(result[g].encode() for g in groups))
     result["invocations"] = groups
+    result["invocations_without_manifest"] = without_manifest
     return result
 
 

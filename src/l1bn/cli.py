@@ -4,7 +4,8 @@ Subcommands: ``gradcheck``, ``ratio``, ``train``, ``cost``.  Each writes its
 outputs plus a ``manifest.json`` (seed, resolved options, library version)
 under the run directory; given the same options the files are byte-identical
 across runs.  Exit codes: 0 success, 1 experiment/assertion failure, 2 usage
-error, which includes setting an option that the run does not read.
+error, which includes setting an option that the run does not read.  The
+pass/fail bounds are the fixed acceptance bounds, not options.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import dataclasses
 import functools
 import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -23,10 +23,10 @@ from pathlib import Path
 from . import __version__
 from .batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode
 from .costmodel import OpCosts, model_report, parse_architecture
-from .gradcheck import DEFAULT_STEP, check_layer
-from .ratio import DEFAULT_BAND_HALF_WIDTH, channelwise_ratio_map
+from .gradcheck import DEFAULT_STEP, GRADCHECK_THRESHOLD, check_layer
+from .ratio import channelwise_ratio_map
 from .tensor import Rng
-from .trainer import MlpSpec, SgdConfig, SyntheticTask, parity_gap
+from .trainer import PARITY_TOLERANCE_PP, MlpSpec, SgdConfig, SyntheticTask, parity_gap
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1234  # bare invocations are reproducible
@@ -35,7 +35,6 @@ DEFAULT_SEED = 1234  # bare invocations are reproducible
 # ``main`` can reject one the run does not read before it fills them in.
 GRADCHECK_DEFAULTS = {"d": 3, "height": 3, "width": 3, "channels": 2}
 RATIO_DEFAULTS = {"n": 100000, "mu": 0.0, "sigma": 1.0, "m": 4096, "channels": 16}
-TRAIN_DEFAULTS = {"parity_tolerance_pp": 2.0}
 
 
 def _comma_list(choices: tuple[str, ...]):
@@ -128,14 +127,10 @@ def _unread(args) -> dict[str, str]:
         if args.dist == "uniform":
             unread.update(dict.fromkeys(("mu", "sigma"), "not read by --dist uniform"))
         return unread
-    if args.command == "train" and not {"l2", "l1"} <= set(args.modes.split(",")):
-        return {"parity_tolerance_pp": "read only when --modes has both l2 and l1"}
     return {}
 
 
 def cmd_gradcheck(args) -> int:
-    if not 0 <= args.threshold < math.inf:
-        raise ValueError(f"threshold must be finite and >= 0, got {args.threshold}")
     outdir = Path(args.outdir)
     modes = [BnMode(m) for m in args.modes.split(",")]
     layouts = args.layouts.split(",")
@@ -146,19 +141,19 @@ def cmd_gradcheck(args) -> int:
             shape = shapes[layout]
             reports.append(check_layer(mode, shape, seed=args.seed, step=args.step))
     worst = max(r.max_rel_err for r in reports)
-    passed = worst <= args.threshold
+    passed = worst <= GRADCHECK_THRESHOLD
     _write_manifest(args)
     _write_json(outdir / "reports.json", {
-        "threshold": args.threshold,
+        "threshold": GRADCHECK_THRESHOLD,
         "passed": passed,
         "max_rel_err": worst,
         "reports": [r.to_dict() for r in reports],
     })
     for r in reports:
-        status = "ok" if r.max_rel_err <= args.threshold else "FAIL"
+        status = "ok" if r.max_rel_err <= GRADCHECK_THRESHOLD else "FAIL"
         print(f"gradcheck {r.mode:>3} shape={r.shape} max_rel_err={r.max_rel_err:.3e} [{status}]")
     if not passed:
-        print(f"gradcheck failed: max_rel_err {worst:.3e} > threshold {args.threshold:.1e}")
+        print(f"gradcheck failed: max_rel_err {worst:.3e} > threshold {GRADCHECK_THRESHOLD:.1e}")
         return 1
     return 0
 
@@ -169,7 +164,7 @@ def cmd_ratio(args) -> int:
     rng = Rng(args.seed)
     x = (rng.normal(shape, args.mu, args.sigma) if args.dist == "gaussian"
          else rng.uniform(shape, -1.0, 1.0))
-    report = channelwise_ratio_map(x, band_half_width=args.band)
+    report = channelwise_ratio_map(x)
     _write_manifest(args)
     _write_csv(outdir / "ratios.csv", ["channel", "sigma_l2", "sigma_l1", "ratio"],
                report.rows())
@@ -199,9 +194,6 @@ _PRESETS = {
 
 
 def cmd_train(args) -> int:
-    tolerance = args.parity_tolerance_pp
-    if not 0 <= tolerance < math.inf:
-        raise ValueError(f"parity tolerance must be finite and >= 0, got {tolerance}")
     outdir = Path(args.outdir)
     task, hidden, config = _PRESETS[args.preset]
     if args.epochs is not None:
@@ -219,7 +211,10 @@ def cmd_train(args) -> int:
     means = " ".join(f"{m.upper()}={summary[f'mean_acc_{m}']:.4f}" for m in names)
     gap = f" gap={summary['gap_pp']:.2f}pp" if "gap_pp" in summary else ""
     print(f"{args.preset}: mean acc {means}{gap}")
-    return 1 if summary.get("gap_pp", 0.0) > tolerance else 0
+    if summary.get("gap_pp", 0.0) > PARITY_TOLERANCE_PP:
+        print(f"train failed: gap {summary['gap_pp']:.2f}pp > tolerance {PARITY_TOLERANCE_PP}pp")
+        return 1
+    return 0
 
 
 def cmd_cost(args) -> int:
@@ -270,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=_positive_int, help="spatial width (4d layout only)")
     p.add_argument("--channels", type=_positive_int, help="channels (4d layout only)")
     p.add_argument("--step", type=float, default=DEFAULT_STEP, help="finite-difference step")
-    p.add_argument("--threshold", type=float, default=1e-5, help="max allowed relative error")
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--outdir", default="runs/gradcheck")
     p.set_defaults(func=cmd_gradcheck)
@@ -281,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, help="Gaussian mean (not with --dist uniform)")
     p.add_argument("--sigma", type=float, help="Gaussian std (not with --dist uniform)")
     p.add_argument("--dist", choices=("gaussian", "uniform"), default="gaussian")
-    p.add_argument("--band", type=float, default=DEFAULT_BAND_HALF_WIDTH,
-                   help="half-width of the Gaussian band")
     p.add_argument("--channel-map", action="store_true",
                    help="per-channel map over synthetic (rows, channels) data instead of "
                         "one stream")
@@ -301,9 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeds per mode, from --seed up")
     p.add_argument("--epochs", type=_positive_int, default=None,
                    help="override preset epochs")
-    p.add_argument("--parity-tolerance-pp", type=float,
-                   help="largest L1 vs L2 mean-accuracy gap that exits 0 (default "
-                        f"{TRAIN_DEFAULTS['parity_tolerance_pp']}; only when both run)")
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--outdir", default="runs/train")
     p.set_defaults(func=cmd_train)
@@ -327,8 +316,7 @@ def main(argv=None) -> int:
             print(f"{parser.prog} {args.command}: error: argument "
                   f"--{name.replace('_', '-')}: {reason}", file=sys.stderr)
             raise SystemExit(2)
-    defaults = {"gradcheck": GRADCHECK_DEFAULTS, "ratio": RATIO_DEFAULTS,
-                "train": TRAIN_DEFAULTS}.get(args.command, {})
+    defaults = {"gradcheck": GRADCHECK_DEFAULTS, "ratio": RATIO_DEFAULTS}.get(args.command, {})
     for name, value in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, value)

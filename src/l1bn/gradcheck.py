@@ -36,6 +36,7 @@ _CHUNK_VALUES = 1 << 18  # probe values per call of the loss: 2 MB of float64
 TIE_MARGIN = 1e-3
 MAX_RESAMPLES = 100
 DEFAULT_STEP = 1e-6  # central-difference step; also `l1bn gradcheck --step`'s default
+GRADCHECK_THRESHOLD = 1e-5  # largest max_rel_err that `l1bn gradcheck` passes
 
 
 def finite_diff(f, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:

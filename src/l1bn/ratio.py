@@ -11,7 +11,6 @@ so any affine transform of the input leaves it unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode, batch_deviation, rows
 from .tensor import Rng
 
 HISTOGRAM_BINS = 50
-DEFAULT_BAND_HALF_WIDTH = 0.01
+BAND_HALF_WIDTH = 0.01  # |mean ratio - sqrt(π/2)| that counts as Gaussian
 
 
 @dataclass
@@ -49,8 +48,7 @@ class RatioReport:
     ratios: np.ndarray
     mean_ratio: float
     gaussian_gap: float          # mean_ratio - sqrt(π/2)
-    in_gaussian_band: bool
-    band_half_width: float
+    in_gaussian_band: bool       # |gaussian_gap| <= BAND_HALF_WIDTH
     sample_count: int            # pooled samples behind each deviation
     hist_l2: Histogram
     hist_l1: Histogram
@@ -67,7 +65,7 @@ class RatioReport:
             "gaussian_constant": GAUSSIAN_STD_OVER_MAD,
             "gaussian_gap": self.gaussian_gap,
             "in_gaussian_band": self.in_gaussian_band,
-            "band_half_width": self.band_half_width,
+            "band_half_width": BAND_HALF_WIDTH,
             "sample_count": self.sample_count,
             "num_features": int(self.ratios.shape[0]),
             "ratios": [float(r) for r in self.ratios],
@@ -76,21 +74,17 @@ class RatioReport:
         }
 
 
-def gaussian_ratio_trial(n: int, mu: float = 0.0, sigma: float = 1.0,
-                         seed: int = 0,
-                         band_half_width: float = DEFAULT_BAND_HALF_WIDTH) -> RatioReport:
+def gaussian_ratio_trial(n: int, mu: float = 0.0, sigma: float = 1.0, seed: int = 0) -> RatioReport:
     """Draw n Gaussians and measure std / mean-absolute-deviation: the (n, 1) map."""
-    return channelwise_ratio_map(Rng(seed).normal((n, 1), mu, sigma), band_half_width)
+    return channelwise_ratio_map(Rng(seed).normal((n, 1), mu, sigma))
 
 
-def uniform_ratio_trial(n: int, seed: int = 0,
-                        band_half_width: float = DEFAULT_BAND_HALF_WIDTH) -> RatioReport:
+def uniform_ratio_trial(n: int, seed: int = 0) -> RatioReport:
     """Non-Gaussian control: inputs uniform on [-1, 1) land at ratio 2/sqrt(3) ≈ 1.1547."""
-    return channelwise_ratio_map(Rng(seed).uniform((n, 1), -1.0, 1.0), band_half_width)
+    return channelwise_ratio_map(Rng(seed).uniform((n, 1), -1.0, 1.0))
 
 
-def channelwise_ratio_map(x: np.ndarray,
-                          band_half_width: float = DEFAULT_BAND_HALF_WIDTH) -> RatioReport:
+def channelwise_ratio_map(x: np.ndarray) -> RatioReport:
     """Per-feature/channel ratio map of an activation tensor (2-D or 4-D)."""
     x = np.asarray(x, dtype=np.float64)
     pooled, features = rows(x).shape
@@ -98,8 +92,6 @@ def channelwise_ratio_map(x: np.ndarray,
         raise ValueError(f"tensor of shape {x.shape} has no features")
     if pooled < 100:
         raise ValueError(f"pooled count {pooled} < 100; ratios would be noise")
-    if not 0 <= band_half_width < math.inf:
-        raise ValueError(f"band half-width must be finite and >= 0, got {band_half_width}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation raises below
         sigma_l2 = batch_deviation(x, BnMode.L2)
         sigma_l1 = batch_deviation(x, BnMode.L1)
@@ -118,8 +110,7 @@ def channelwise_ratio_map(x: np.ndarray,
         ratios=ratios,
         mean_ratio=mean_ratio,
         gaussian_gap=gap,
-        in_gaussian_band=bool(abs(gap) <= band_half_width),
-        band_half_width=band_half_width,
+        in_gaussian_band=bool(abs(gap) <= BAND_HALF_WIDTH),
         sample_count=pooled,
         hist_l2=Histogram.of(sigma_l2),
         hist_l1=Histogram.of(sigma_l1),

@@ -30,6 +30,7 @@ from .tensor import Rng
 
 LR_DECAY_FACTOR = 0.1  # learning-rate multiplier at each of SgdConfig.lr_decay_epochs
 MOMENTUM = 0.9
+PARITY_TOLERANCE_PP = 2.0  # largest gap_pp that `l1bn train` passes
 
 
 class DivergenceError(RuntimeError):

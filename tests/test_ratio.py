@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l1bn.batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode, batch_deviation
+from l1bn.cli import main
 from l1bn.ratio import (
+    BAND_HALF_WIDTH,
     channelwise_ratio_map,
     gaussian_ratio_trial,
     uniform_ratio_trial,
@@ -62,24 +64,12 @@ class TestGaussianTrial:
 
 
 class TestBand:
-    TRIALS = {
-        "gaussian": lambda band: gaussian_ratio_trial(1000, band_half_width=band),
-        "uniform": lambda band: uniform_ratio_trial(1000, band_half_width=band),
-        "channel-map": lambda band: channelwise_ratio_map(Rng(0).normal((200, 2)),
-                                                          band_half_width=band),
-    }
-
-    @pytest.mark.parametrize("trial", TRIALS)
-    @pytest.mark.parametrize("band", [-1.0, -1e-300, np.nan, np.inf])
-    def test_negative_or_non_finite_band_rejected(self, trial, band):
-        with pytest.raises(ValueError, match="band half-width"):
-            self.TRIALS[trial](band)
-
-    @pytest.mark.parametrize("trial", TRIALS)
-    def test_zero_band_accepted(self, trial):
-        report = self.TRIALS[trial](0.0)
-        assert report.band_half_width == 0.0
-        assert report.in_gaussian_band == (report.gaussian_gap == 0.0)
+    @pytest.mark.parametrize("dist, in_band", [("gaussian", True), ("uniform", False)])
+    def test_summary_band_is_the_fixed_acceptance_band(self, tmp_path, dist, in_band):
+        assert main(["ratio", "--dist", dist, "--outdir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["band_half_width"] == BAND_HALF_WIDTH == 0.01
+        assert summary["in_gaussian_band"] == (abs(summary["gaussian_gap"]) <= 0.01) == in_band
 
 
 class TestUniformControl:

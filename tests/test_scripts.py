@@ -58,9 +58,16 @@ def test_fingerprint_same_digests_in_a_fresh_and_a_reused_directory(tmp_path):
     reused = fingerprint.fingerprint(workdir)  # every output is already there
     assert reused == fresh
     invocations = fresh["invocations"]
-    assert set(fresh) == {"cli", "train", "kernel", "overall", "invocations"}
+    assert set(fresh) == {"cli", "train", "kernel", "overall", "invocations",
+                          "invocations_without_manifest"}
     # a digest that hashed nothing would repeat across cases with different outputs
     for group in ("train", "kernel"):
         digests = list(invocations[group].values())
         assert len(set(digests)) == len(digests) > 0, group
     assert len(set(invocations["cli"].values())) > 1
+    # leaving the manifest out changes the digest exactly when a run wrote one
+    for group, without in fresh["invocations_without_manifest"].items():
+        assert without.keys() == invocations[group].keys()
+        for i, (name, digest) in enumerate(without.items()):
+            wrote = (workdir / "out" / f"{group}{i:03d}" / "manifest.json").exists()
+            assert (digest != invocations[group][name]) == wrote, name
