@@ -55,6 +55,26 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--outdir", str(tmp_path / "gc")]) == 1
         assert read_json(tmp_path / "gc" / "reports.json")["threshold"] == 1e-12
 
+    @pytest.mark.parametrize("mode", ["l2", "l1", "l1c"])
+    @pytest.mark.parametrize("side, code, status", [("at", 0, "ok"), ("below", 1, "FAIL")])
+    def test_threshold_edge_is_inclusive(self, tmp_path, capsys, monkeypatch,
+                                         mode, side, code, status):
+        # a max_rel_err equal to the threshold passes; one ulp of threshold less fails
+        argv = ["gradcheck", "--modes", mode]
+        assert main(argv + ["--outdir", str(tmp_path / "ref")]) == 0
+        worst = read_json(tmp_path / "ref" / "reports.json")["max_rel_err"]
+        threshold = worst if side == "at" else math.nextafter(worst, 0.0)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "GRADCHECK_THRESHOLD", threshold)
+        assert main(argv + ["--outdir", str(tmp_path / "gc")]) == code
+        payload = read_json(tmp_path / "gc" / "reports.json")
+        assert payload["threshold"] == threshold
+        assert payload["max_rel_err"] == worst
+        assert payload["passed"] is (code == 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(f"[{status}]")
+        assert len(lines) == 1 + code
+
     def test_both_layouts(self, tmp_path):
         outdir = tmp_path / "gc"
         assert main(["gradcheck", "--layouts", "2d,4d", "--modes", "l1",
@@ -174,6 +194,21 @@ class TestTrainCommand:
         assert main(argv + ["--outdir", str(tmp_path / "fail")]) == 1
         assert capsys.readouterr().out.splitlines() == [
             *passing.splitlines(), f"train failed: gap {gap:.2f}pp > tolerance 0.0pp"]
+
+    @pytest.mark.parametrize("side, code", [("at", 0), ("below", 1)])
+    def test_tolerance_edge_is_inclusive(self, tmp_path, capsys, monkeypatch, side, code):
+        # a gap_pp equal to the tolerance passes; one ulp of tolerance less fails
+        argv = ["train", "--preset", "parity", "--runs", "1", "--epochs", "1"]
+        assert main(argv + ["--outdir", str(tmp_path / "ref")]) == 0
+        gap = read_json(tmp_path / "ref" / "summary.json")["gap_pp"]
+        tolerance = gap if side == "at" else math.nextafter(gap, 0.0)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "PARITY_TOLERANCE_PP", tolerance)
+        assert main(argv + ["--outdir", str(tmp_path / "run")]) == code
+        assert read_json(tmp_path / "run" / "summary.json")["gap_pp"] == gap
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + code
+        assert all(line.startswith("train failed: ") for line in lines[1:])
 
     @pytest.mark.parametrize("preset", ["sanity", "parity"])
     def test_parity_csvs_come_from_parity_gap_records(self, tmp_path, monkeypatch, preset):

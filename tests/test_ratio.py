@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from l1bn import ratio
 from l1bn.batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode, batch_deviation
 from l1bn.cli import main
 from l1bn.ratio import (
@@ -64,6 +65,32 @@ class TestGaussianTrial:
 
 
 class TestBand:
+    TRIALS = {
+        "gaussian": lambda: gaussian_ratio_trial(1000),
+        "uniform": lambda: uniform_ratio_trial(1000),
+        "channel-map": lambda: channelwise_ratio_map(Rng(0).normal((200, 2))),
+    }
+    # (band half-width as a function of the trial's |gaussian_gap|, whether that gap is inside)
+    BANDS = {
+        "zero": (lambda gap: 0.0, False),
+        "below-gap": (lambda gap: math.nextafter(gap, 0.0), False),
+        "at-gap": (lambda gap: gap, True),
+        "above-gap": (lambda gap: math.nextafter(gap, math.inf), True),
+        "unbounded": (lambda gap: math.inf, True),
+    }
+
+    @pytest.mark.parametrize("band", BANDS)
+    @pytest.mark.parametrize("trial", TRIALS)
+    def test_band_edge_is_inclusive(self, monkeypatch, trial, band):
+        gap = abs(self.TRIALS[trial]().gaussian_gap)
+        assert gap > 0.0
+        half_width, inside = self.BANDS[band]
+        monkeypatch.setattr(ratio, "BAND_HALF_WIDTH", half_width(gap))
+        report = self.TRIALS[trial]()
+        assert abs(report.gaussian_gap) == gap  # the band moves only the flag
+        assert report.in_gaussian_band is inside
+        assert report.to_dict()["band_half_width"] == half_width(gap)
+
     @pytest.mark.parametrize("dist, in_band", [("gaussian", True), ("uniform", False)])
     def test_summary_band_is_the_fixed_acceptance_band(self, tmp_path, dist, in_band):
         assert main(["ratio", "--dist", dist, "--outdir", str(tmp_path)]) == 0
