@@ -89,6 +89,8 @@ INPUT_FILES = {
     "not_utf8.json": b'{"sign": \xff}',
     "zero_time.json": b'{"sign": {"time_ns": 0}, "abs": {"time_ns": 0}}',
     "zero_power.json": b'{"square": {"power_uw": 0}}',
+    "repeated_op.json": b'{"square": {"time_ns": 6.0}, "square": {"time_ns": 9.0}}',
+    "repeated_field.json": b'{"square": {"time_ns": 6.0, "time_ns": 9.0}}',
     # integer dimensions whose weighted totals pass float64's 1.8e308
     "inf_power.arch": f"fc {2 * 10**307} 1 1 1\n".encode(),
     "inf_time.arch": f"fc {10**154} 1 1 {10**154}\n".encode(),
@@ -195,8 +197,8 @@ TRAIN_INVOCATIONS = [
     ["train", "--preset", "sanity", "--runs", "1", "--epochs", "2"],
     ["train", "--preset", "parity", "--runs", "1", "--epochs", "2"],
     ["train", "--preset", "sanity", "--modes", "l2,l1,l1c,none", "--runs", "1", "--epochs", "2"],
-    # gap 2.10 pp > 2.0 with OpenBLAS 0.3.31 on x86-64, so this exits 1
-    ["train", "--preset", "parity", "--runs", "1", "--epochs", "1", "--seed", "57"],
+    # gap 2.80 pp > 2.0 with OpenBLAS 0.3.31 on x86-64, so this exits 1
+    ["train", "--preset", "parity", "--runs", "1", "--epochs", "1", "--seed", "113"],
 ]
 
 

@@ -70,13 +70,22 @@ class OpCosts:
         """Load overrides from JSON: {"sign": {"time_ns": ..., "power_uw": ...}, ...}.
 
         Raises ValueError, prefixed with ``path``, naming bytes that are not UTF-8,
-        text that is not JSON, an unknown op or field, a value that is not a
+        text that is not JSON, a key repeated within one object (JSON would keep
+        only its last value), an unknown op or field, a value that is not a
         finite nonnegative number, or a ``root`` entry when ``include_root`` is
         off, since the weighted totals then read no root weight.
         """
+        def unique_keys(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ValueError(f"{path}: repeated key {key!r}")
+                seen.add(key)
+            return dict(pairs)
+
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=unique_keys)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValueError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):

@@ -160,14 +160,13 @@ class ReluLayer:
 
 class BnLayer:
     """Batch normalization wrapper owning its running state and cache; γ and β,
-    and their gradients, are the arrays ``take`` hands it."""
+    and their gradients, are the arrays ``take`` hands it.  γ starts at 1 and β
+    at 0 in every mode."""
 
     def __init__(self, take, num_features: int, mode: BnMode):
         gamma, self.d_gamma = take(num_features)
         beta, self.d_beta = take(num_features)
-        # plain L1 deviations run ~1.25x small on Gaussian activations; a slightly
-        # smaller gamma start keeps early training on the same footing
-        gamma[...] = 0.8 if mode is BnMode.L1 else 1.0
+        gamma[...] = 1.0
         self.params = BnParams(gamma=gamma, beta=beta, mode=mode)
         self.state = BnState.init(num_features)
         self._cache = None
@@ -234,17 +233,6 @@ class Mlp:
         d = d_logits
         for layer in reversed(self.layers):
             d = layer.backward(d)
-
-    def hidden_preactivations(self, x: np.ndarray) -> list[np.ndarray]:
-        """Per-block dense outputs before normalization (inference path):
-        ``x @ W`` in a BN net, whose hidden dense layers have no bias."""
-        acts = []
-        out = x
-        for layer in self.layers[:-1]:
-            out = layer.forward(out, training=False)
-            if isinstance(layer, DenseLayer):
-                acts.append(out)
-        return acts
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

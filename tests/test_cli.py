@@ -497,6 +497,10 @@ class TestOneLineErrors:
          "cost: L2 total power_uw is 0, so the power saving is undefined"),
         (["cost", "--arch", SAMPLE_ARCH, "--costs", "{root}"],
          "cost: {root}: root weights are read only with --include-root"),
+        (["cost", "--arch", SAMPLE_ARCH, "--costs", "{repeated_op}"],
+         "cost: {repeated_op}: repeated key 'square'"),
+        (["cost", "--arch", SAMPLE_ARCH, "--costs", "{repeated_field}"],
+         "cost: {repeated_field}: repeated key 'time_ns'"),
         (["cost", "--arch", "{inf_power}"], "cost: L2 total power_uw overflows float64"),
         (["cost", "--arch", "{inf_time}"], "cost: L2 total time_ns overflows float64"),
         (["cost", "--arch", "{huge_count}"], "cost: L2 total time_ns overflows float64"),
@@ -514,7 +518,8 @@ class TestOneLineErrors:
             "ratio-constant-channel", "cost-no-layers", "cost-missing-arch", "ratio-mu-inf",
             "ratio-mu-nan", "ratio-sigma-inf", "ratio-channel-map-mu-nan", "cost-arch-not-utf8",
             "cost-zero-l1-time", "cost-zero-l2-power",
-            "cost-root-without-include-root", "cost-l2-power-overflows",
+            "cost-root-without-include-root", "cost-repeated-op", "cost-repeated-field",
+            "cost-l2-power-overflows",
             "cost-l2-time-overflows", "cost-count-beyond-float", "gradcheck-step-zero",
             "gradcheck-step-minus-inf", "ratio-stream-floor", "ratio-stream-constant",
             "ratio-allocation-fails"])
@@ -526,10 +531,16 @@ class TestOneLineErrors:
         zero_power.write_text('{"square": {"power_uw": 0}}')
         root = tmp_path / "root.json"
         root.write_text('{"root": {"time_ns": 14.0, "power_uw": 20.0}}')
+        # json.load alone would keep only the last value of a repeated key
+        repeated_op = tmp_path / "repeated_op.json"
+        repeated_op.write_text('{"square": {"time_ns": 6.0}, "square": {"time_ns": 9.0}}')
+        repeated_field = tmp_path / "repeated_field.json"
+        repeated_field.write_text('{"square": {"time_ns": 6.0, "time_ns": 9.0}}')
         paths = {"empty": write_arch(tmp_path, "empty.arch", ["# no layers here"]),
                  "missing": str(tmp_path / "missing.arch"), "latin1": str(latin1),
                  "zero_time": str(zero_time), "zero_power": str(zero_power),
-                 "root": str(root),
+                 "root": str(root), "repeated_op": str(repeated_op),
+                 "repeated_field": str(repeated_field),
                  # integers whose weighted totals pass float64's 1.8e308
                  "inf_power": write_arch(tmp_path, "inf_power.arch", [f"fc {2 * 10**307} 1 1 1"]),
                  "inf_time": write_arch(tmp_path, "inf_time.arch",

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,15 @@ def test_ratio_experiment_writes_its_files(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in outdir.iterdir()) == [f"mlp_layer{i}.csv" for i in range(3)]
+    for i in range(3):
+        # the net's 48 hidden features per layer; the ratios are observational,
+        # so only that they are defined is checked
+        with open(outdir / f"mlp_layer{i}.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["channel", "sigma_l2", "sigma_l1", "ratio"]
+        assert [int(row[0]) for row in rows] == list(range(48))
+        ratios = [float(row[3]) for row in rows]
+        assert all(math.isfinite(r) and r > 0 for r in ratios)
 
 
 @pytest.mark.parametrize("arch", sorted((ROOT / "scripts").glob("*.arch")), ids=lambda p: p.stem)

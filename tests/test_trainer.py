@@ -231,6 +231,21 @@ class TestFlatParameters:
             assert (layer.b is None) == (layer.db is None) == (mode is not None)
         assert head.b.shape == head.db.shape == (spec.classes,)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("preset", ["parity", "sanity"])
+    def test_initial_parameters_do_not_depend_on_bn_mode(self, preset, seed):
+        # the modes differ only in the normalization: the same weights, and
+        # γ = 1, β = 0 in every BN layer
+        task, hidden, _ = cli._PRESETS[preset]
+        models = [Mlp(MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes,
+                              bn_mode=mode, seed=seed)) for mode in BnMode]
+        for model in models[1:]:
+            assert np.array_equal(self.bits(model.theta), self.bits(models[0].theta))
+        bn_layers = [layer for layer in models[0].layers if isinstance(layer, BnLayer)]
+        assert len(bn_layers) == len(hidden)
+        for layer in bn_layers:
+            assert np.all(layer.params.gamma == 1.0) and np.all(layer.params.beta == 0.0)
+
     def test_sgd_on_theta_moves_layer_weights(self):
         model = Mlp(sanity_spec(BnMode.L2))
         w0 = model.layers[0].w.copy()
