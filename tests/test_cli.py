@@ -556,6 +556,24 @@ class TestOneLineErrors:
         assert caught == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--modes", "l2"],
+        ["ratio", "--n", "1000"],
+        ["train", "--runs", "1", "--epochs", "1"],
+        ["cost", "--arch", SAMPLE_ARCH],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_outdir(self, tmp_path, capsys, argv):
+        # the manifest is the first write, so its path is the one named
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        outdir = blocker / "out"
+        assert main(argv + ["--outdir", str(outdir)]) == 1
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            f"{argv[0]}: [Errno 20] Not a directory: '{outdir / 'manifest.json'}'"]
+        assert out == ""
+        assert blocker.read_bytes() == b""
+
 
 class TestUsage:
     def test_no_subcommand_is_usage_error(self):
