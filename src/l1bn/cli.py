@@ -1,11 +1,12 @@
 """Command-line entry point: every experiment behind one binary.
 
-Subcommands: ``gradcheck``, ``ratio``, ``train``, ``cost``.  Each writes its
-outputs plus a ``manifest.json`` (seed, resolved options, library version)
-under the run directory; given the same options the files are byte-identical
-across runs.  Exit codes: 0 success, 1 experiment/assertion failure, 2 usage
-error, which includes setting an option that the run does not read.  The
-pass/fail bounds are the fixed acceptance bounds, not options.
+Subcommands: ``gradcheck``, ``ratio``, ``train``, ``cost``.  Each returns its
+outputs as text; ``main`` alone writes them under the run directory, after a
+``manifest.json`` (seed, resolved options, library version), and only when the
+whole run succeeded.  Equal options give byte-identical files.  Exit codes: 0
+success, 1 experiment/assertion failure, 2 usage error, which includes setting
+an option that the run does not read.  The pass/fail bounds are the fixed
+acceptance bounds, not options.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from .trainer import PARITY_TOLERANCE_PP, MlpSpec, SgdConfig, SyntheticTask, par
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1234  # bare invocations are reproducible
+
+# What a command returns: its output files in write order (name -> text), its
+# stdout lines and its exit code.  ``main`` alone writes and prints them.
+Outputs = tuple[dict[str, str], list[str], int]
 
 # Defaults of the options that only some runs read.  These parse to None, so
 # ``main`` can reject one the run does not read before it fills them in.
@@ -90,21 +95,21 @@ def _write_output(path: Path, text: str) -> None:
         os.close(fd)
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _json(payload: dict) -> str:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    _write_output(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _csv(header: list[str], rows) -> str:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _write_output(path, buf.getvalue())
+    return buf.getvalue()
 
 
-def _write_manifest(args: argparse.Namespace) -> None:
-    _write_json(Path(args.outdir) / "manifest.json", {
+def _manifest(args: argparse.Namespace) -> str:
+    return _json({
         "command": args.command,
         "seed": vars(args).get("seed"),
         "options": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
@@ -130,8 +135,7 @@ def _unread(args) -> dict[str, str]:
     return {}
 
 
-def cmd_gradcheck(args) -> int:
-    outdir = Path(args.outdir)
+def cmd_gradcheck(args) -> Outputs:
     modes = [BnMode(m) for m in args.modes.split(",")]
     layouts = args.layouts.split(",")
     reports = []
@@ -142,37 +146,31 @@ def cmd_gradcheck(args) -> int:
             reports.append(check_layer(mode, shape, seed=args.seed, step=args.step))
     worst = max(r.max_rel_err for r in reports)
     passed = worst <= GRADCHECK_THRESHOLD
-    _write_manifest(args)
-    _write_json(outdir / "reports.json", {
+    files = {"reports.json": _json({
         "threshold": GRADCHECK_THRESHOLD,
         "passed": passed,
         "max_rel_err": worst,
         "reports": [r.to_dict() for r in reports],
-    })
-    for r in reports:
-        status = "ok" if r.max_rel_err <= GRADCHECK_THRESHOLD else "FAIL"
-        print(f"gradcheck {r.mode:>3} shape={r.shape} max_rel_err={r.max_rel_err:.3e} [{status}]")
+    })}
+    lines = [f"gradcheck {r.mode:>3} shape={r.shape} max_rel_err={r.max_rel_err:.3e} "
+             f"[{'ok' if r.max_rel_err <= GRADCHECK_THRESHOLD else 'FAIL'}]" for r in reports]
     if not passed:
-        print(f"gradcheck failed: max_rel_err {worst:.3e} > threshold {GRADCHECK_THRESHOLD:.1e}")
-        return 1
-    return 0
+        lines.append(
+            f"gradcheck failed: max_rel_err {worst:.3e} > threshold {GRADCHECK_THRESHOLD:.1e}")
+    return files, lines, int(not passed)
 
 
-def cmd_ratio(args) -> int:
-    outdir = Path(args.outdir)
+def cmd_ratio(args) -> Outputs:
     shape = (args.m, args.channels) if args.channel_map else (args.n, 1)  # a stream: 1 channel
     rng = Rng(args.seed)
     x = (rng.normal(shape, args.mu, args.sigma) if args.dist == "gaussian"
          else rng.uniform(shape, -1.0, 1.0))
     report = channelwise_ratio_map(x)
-    _write_manifest(args)
-    _write_csv(outdir / "ratios.csv", ["channel", "sigma_l2", "sigma_l1", "ratio"],
-               report.rows())
-    _write_json(outdir / "summary.json", report.to_dict())
-    print(f"mean ratio sigma_l2/sigma_l1 = {report.mean_ratio:.4f} "
-          f"(gaussian constant {GAUSSIAN_STD_OVER_MAD:.4f}, "
-          f"in band: {report.in_gaussian_band})")
-    return 0
+    files = {"ratios.csv": _csv(["channel", "sigma_l2", "sigma_l1", "ratio"], report.rows()),
+             "summary.json": _json(report.to_dict())}
+    return files, [f"mean ratio sigma_l2/sigma_l1 = {report.mean_ratio:.4f} "
+                   f"(gaussian constant {GAUSSIAN_STD_OVER_MAD:.4f}, "
+                   f"in band: {report.in_gaussian_band})"], 0
 
 
 _PRESETS = {
@@ -193,8 +191,7 @@ _PRESETS = {
 }
 
 
-def cmd_train(args) -> int:
-    outdir = Path(args.outdir)
+def cmd_train(args) -> Outputs:
     task, hidden, config = _PRESETS[args.preset]
     if args.epochs is not None:
         config = dataclasses.replace(config, epochs=args.epochs)
@@ -202,30 +199,26 @@ def cmd_train(args) -> int:
     summary = parity_gap(task, MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes),
                          config, seeds=tuple(args.seed + k for k in range(args.runs)),
                          modes=tuple(None if m == "none" else BnMode(m) for m in names))
-    _write_manifest(args)
-    for mode, records in summary.pop("records").items():
-        for rec in records:
-            _write_csv(outdir / f"{mode}_seed{rec.seed}.csv",
-                       ["epoch", "train_loss", "train_acc", "test_acc"], rec.rows())
-    _write_json(outdir / "summary.json", summary)
+    files = {f"{mode}_seed{rec.seed}.csv":
+             _csv(["epoch", "train_loss", "train_acc", "test_acc"], rec.rows())
+             for mode, records in summary.pop("records").items() for rec in records}
+    files["summary.json"] = _json(summary)
     means = " ".join(f"{m.upper()}={summary[f'mean_acc_{m}']:.4f}" for m in names)
     gap = f" gap={summary['gap_pp']:.2f}pp" if "gap_pp" in summary else ""
-    print(f"{args.preset}: mean acc {means}{gap}")
-    if summary.get("gap_pp", 0.0) > PARITY_TOLERANCE_PP:
-        print(f"train failed: gap {summary['gap_pp']:.2f}pp > tolerance {PARITY_TOLERANCE_PP}pp")
-        return 1
-    return 0
+    lines = [f"{args.preset}: mean acc {means}{gap}"]
+    failed = summary.get("gap_pp", 0.0) > PARITY_TOLERANCE_PP
+    if failed:
+        lines.append(
+            f"train failed: gap {summary['gap_pp']:.2f}pp > tolerance {PARITY_TOLERANCE_PP}pp")
+    return files, lines, int(failed)
 
 
-def cmd_cost(args) -> int:
-    outdir = Path(args.outdir)
+def cmd_cost(args) -> Outputs:
     layers = parse_architecture(args.arch)
     costs = (OpCosts.from_json(args.costs, include_root=args.include_root) if args.costs
              else OpCosts())
     profile = model_report(layers, costs, include_root=args.include_root)
-    _write_manifest(args)
-    _write_csv(
-        outdir / "layers.csv",
+    files = {"layers.csv": _csv(
         ["name", "m", "h", "w", "c",
          "sign_l1", "abs_l1", "square_l2", "root_l2",
          "time_l2_ns", "time_l1_ns", "power_l2_uw", "power_l1_uw"],
@@ -237,12 +230,10 @@ def cmd_cost(args) -> int:
              lc.weighted_l2["power_uw"], lc.weighted_l1["power_uw"])
             for lc in profile.layers
         ],
-    )
-    _write_json(outdir / "totals.json", profile.to_dict())
-    print(f"time ratio (L2/L1): {profile.time_ratio_l2_over_l1:.2f}x, "
-          f"power saving: {profile.power_saving_pct:.1f}% "
-          f"(~{profile.power_saving_pct_round10:.0f}%)")
-    return 0
+    ), "totals.json": _json(profile.to_dict())}
+    return files, [f"time ratio (L2/L1): {profile.time_ratio_l2_over_l1:.2f}x, "
+                   f"power saving: {profile.power_saving_pct:.1f}% "
+                   f"(~{profile.power_saving_pct_round10:.0f}%)"], 0
 
 
 @functools.cache
@@ -321,10 +312,16 @@ def main(argv=None) -> int:
         if getattr(args, name) is None:
             setattr(args, name, value)
     try:
-        return args.func(args)
+        files, lines, code = args.func(args)
+        # nothing is written unless the whole run succeeded; the manifest goes first
+        for name, text in {"manifest.json": _manifest(args), **files}.items():
+            _write_output(Path(args.outdir) / name, text)
+        for line in lines:
+            print(line)
     except (ValueError, OSError, MemoryError) as exc:  # library errors surface as exit 1
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":
