@@ -147,11 +147,11 @@ def check_layer(mode: BnMode, shape, seed: int = 0, step: float = DEFAULT_STEP) 
 
     _, cache = bn_forward_train(x, params)
     fused = bn_backward(projection, cache, params)
-    bundles, agreement = [fused], None
+    bundles, agreement = {"fused": fused}, None
     if mode is not BnMode.L2:
         naive = bn_backward_l1_naive(projection, cache, params)
         agreement = float(relative_errors(naive.d_input, fused.d_input).max())
-        bundles = [naive, fused]
+        bundles = {"naive": naive, "fused": fused}
 
     n = x.size
     slots = (("input", slice(0, n), shape), ("gamma", slice(n, n + c), (c,)),
@@ -174,16 +174,20 @@ def check_layer(mode: BnMode, shape, seed: int = 0, step: float = DEFAULT_STEP) 
     # a probe that overflows is named below, by slot, instead of warned about
     with np.errstate(over="ignore", invalid="ignore"):
         numeric = finite_diff(side_by_side, np.concatenate([x.reshape(-1), gamma, beta]), step)
-    bad = np.flatnonzero(~np.isfinite(numeric))
-    if bad.size:
-        name, span, slot_shape = next(slot for slot in slots if bad[0] < slot[1].stop)
-        idx = tuple(int(j) for j in np.unravel_index(bad[0] - span.start, slot_shape))
-        raise ValueError(f"non-finite probe value near {name} {idx}")
-
     # each bundle's gradients as one row laid out as θ; every slot reports the worse
     # of the two L1 forms, so both are certified at once, and a tie keeps the first
     analytic = np.stack([np.concatenate([b.d_input.reshape(-1), b.d_gamma, b.d_beta])
-                         for b in bundles])
+                         for b in bundles.values()])
+    # a non-finite entry is named, not compared: max() and argmax() skip a NaN or
+    # pick it by position, so it could pass as any error at all
+    bad = np.argwhere(~np.isfinite(np.vstack([numeric, analytic])))
+    if len(bad):
+        row, col = bad[0]
+        name, span, slot_shape = next(slot for slot in slots if col < slot[1].stop)
+        idx = tuple(int(j) for j in np.unravel_index(col - span.start, slot_shape))
+        source = "probe value near" if row == 0 else f"{list(bundles)[row - 1]} backward value at"
+        raise ValueError(f"non-finite {source} {name} {idx}")
+
     rel = relative_errors(analytic, numeric)
     abs_err = np.abs(analytic - numeric)
     checks = {}

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -10,9 +11,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from l1bn import cli
+from l1bn import cli, gradcheck
 from l1bn.cli import build_parser, main
 
 
@@ -111,6 +113,30 @@ class TestGradcheckCommand:
         err = capsys.readouterr().err
         assert "gamma" in err and "(0,)" in err
         assert err.strip() == "gradcheck: non-finite probe value near gamma (0,)"
+
+    @pytest.mark.parametrize("slot, flat, modes, line", [
+        ("d_gamma", 1, ("l2", "l1", "l1c"), "non-finite fused backward value at gamma (1,)"),
+        ("d_input", 0, ("l1",), "non-finite fused backward value at input (0, 0)"),
+    ], ids=["gamma-every-mode", "input-l1-only"])
+    def test_nan_analytic_gradient_fails_in_one_line(self, tmp_path, capsys, monkeypatch,
+                                                     slot, flat, modes, line):
+        # neither NaN may pass as a max_rel_err: max() would skip it or keep it by position
+        real = gradcheck.bn_backward
+
+        def poisoned(d_y, cache, params):
+            grads = real(d_y, cache, params)
+            if params.mode.value not in modes:
+                return grads
+            values = getattr(grads, slot).copy()
+            values.flat[flat] = np.nan
+            return dataclasses.replace(grads, **{slot: values})
+
+        monkeypatch.setattr(gradcheck, "bn_backward", poisoned)
+        assert main(["gradcheck", "--outdir", str(tmp_path / "gc")]) == 1
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"gradcheck: {line}"]
+        assert out == ""
+        assert not (tmp_path / "gc").exists()
 
 
 class TestRatioCommand:

@@ -471,3 +471,27 @@ class TestNonFiniteProbe:
             check_layer(BnMode.L2, (4, 3, 3, 2), seed=3)
         assert type(exc.value) is ValueError
         assert str(exc.value) == "non-finite probe value near gamma (1,)"
+
+
+class TestNonFiniteAnalytic:
+    """A non-finite analytic gradient fails the check, naming the backward form that
+    gave it: compared, a NaN would be skipped by max() and could pass."""
+
+    # (4, 3, 3, 2): the last input, γ's second and β's first entry
+    @pytest.mark.parametrize("slot,index", [("input", (3, 2, 2, 1)), ("gamma", (1,)),
+                                            ("beta", (0,))])
+    @pytest.mark.parametrize("form,backward", [("fused", "bn_backward"),
+                                               ("naive", "bn_backward_l1_naive")])
+    def test_error_names_form_slot_and_index(self, monkeypatch, form, backward, slot, index):
+        real = getattr(gradcheck, backward)
+
+        def poisoned(d_y, cache, params):
+            grads = real(d_y, cache, params)
+            values = getattr(grads, f"d_{slot}").copy()
+            values[index] = np.nan
+            return dataclasses.replace(grads, **{f"d_{slot}": values})
+
+        monkeypatch.setattr(gradcheck, backward, poisoned)
+        with pytest.raises(ValueError) as exc:
+            check_layer(BnMode.L1, (4, 3, 3, 2), seed=3)
+        assert str(exc.value) == f"non-finite {form} backward value at {slot} {index}"
