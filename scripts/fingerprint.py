@@ -122,8 +122,6 @@ def cli_invocations() -> list[list[str]]:
         ["ratio", "--channel-map", "--dist", "uniform", "--m", "100000", "--channels", "1"],
         ["gradcheck"],
         ["gradcheck", "--layouts", "2d,4d"],
-        ["gradcheck", "--modes", "l1", "--step", "1e-5"],
-        ["gradcheck", "--modes", "l2", "--step", "3e-7"],
         # pooled count 128: the L1 modes land just above 1e-5, so this exits 1
         ["gradcheck", "--layouts", "2d,4d", "--m", "16", "--d", "16", "--height", "4",
          "--width", "4", "--channels", "8"],
@@ -137,11 +135,6 @@ def cli_invocations() -> list[list[str]]:
     ]
     # exit 1: one line on stderr, no output directory
     runs += [
-        ["gradcheck", "--step", "1e308"],
-        ["gradcheck", "--step", "nan"],
-        ["gradcheck", "--step", "inf"],
-        ["gradcheck", "--step", "0"],
-        ["gradcheck", "--step=-inf"],
         ["gradcheck", "--m", "1"],
         ["ratio", "--channel-map", "--sigma", "0"],
         ["ratio", "--mu", "inf"],
@@ -184,8 +177,9 @@ def cli_invocations() -> list[list[str]]:
         ["train", "--seed", "-1", "--runs", "1", "--epochs", "1"],
         ["ratio", "--seed", "-1"],
         ["gradcheck", "--seed", "-1"],
-        # the pass/fail bounds are constants, not options
+        # the pass/fail bounds and the finite-difference step are constants, not options
         ["gradcheck", "--threshold", "1e-5"],
+        ["gradcheck", "--step", "1e-6"],
         ["ratio", "--band", "0.01"],
         ["train", "--parity-tolerance-pp", "2"],
         ["cost"],

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode
 from .costmodel import OpCosts, model_report, parse_architecture
-from .gradcheck import DEFAULT_STEP, GRADCHECK_THRESHOLD, check_layer
+from .gradcheck import GRADCHECK_THRESHOLD, check_layer
 from .ratio import channelwise_ratio_map
 from .tensor import Rng
 from .trainer import PARITY_TOLERANCE_PP, MlpSpec, SgdConfig, SyntheticTask, parity_gap
@@ -143,7 +143,7 @@ def cmd_gradcheck(args) -> Outputs:
     for mode in modes:
         for layout in layouts:
             shape = shapes[layout]
-            reports.append(check_layer(mode, shape, seed=args.seed, step=args.step))
+            reports.append(check_layer(mode, shape, seed=args.seed))
     worst = max(r.max_rel_err for r in reports)
     passed = worst <= GRADCHECK_THRESHOLD
     files = {"reports.json": _json({
@@ -255,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=_positive_int, help="spatial height (4d layout only)")
     p.add_argument("--width", type=_positive_int, help="spatial width (4d layout only)")
     p.add_argument("--channels", type=_positive_int, help="channels (4d layout only)")
-    p.add_argument("--step", type=float, default=DEFAULT_STEP, help="finite-difference step")
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--outdir", default="runs/gradcheck")
     p.set_defaults(func=cmd_gradcheck)

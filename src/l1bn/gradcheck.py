@@ -35,7 +35,7 @@ REL_ERR_FLOOR = 1e-8  # denominator floor: avoids blowup where both gradients ~ 
 _CHUNK_VALUES = 1 << 18  # probe values per call of the loss: 2 MB of float64
 TIE_MARGIN = 1e-3
 MAX_RESAMPLES = 100
-DEFAULT_STEP = 1e-6  # central-difference step; also `l1bn gradcheck --step`'s default
+DEFAULT_STEP = 1e-6  # central-difference step of every check_layer call
 GRADCHECK_THRESHOLD = 1e-5  # largest max_rel_err that `l1bn gradcheck` passes
 
 
@@ -132,7 +132,7 @@ def draw_inputs(mode: BnMode, shape, rng: Rng) -> np.ndarray:
     raise ValueError(f"no tie-free batch of shape {tuple(shape)} in {MAX_RESAMPLES} draws")
 
 
-def check_layer(mode: BnMode, shape, seed: int = 0, step: float = DEFAULT_STEP) -> GradReport:
+def check_layer(mode: BnMode, shape, seed: int = 0) -> GradReport:
     """Run one forward/backward pair against the finite-difference oracle."""
     shape = tuple(shape)
     if len(rows(np.empty(shape))) < 4:
@@ -173,7 +173,8 @@ def check_layer(mode: BnMode, shape, seed: int = 0, step: float = DEFAULT_STEP) 
 
     # a probe that overflows is named below, by slot, instead of warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        numeric = finite_diff(side_by_side, np.concatenate([x.reshape(-1), gamma, beta]), step)
+        numeric = finite_diff(side_by_side, np.concatenate([x.reshape(-1), gamma, beta]),
+                              DEFAULT_STEP)
     # each bundle's gradients as one row laid out as θ; every slot reports the worse
     # of the two L1 forms, so both are certified at once, and a tie keeps the first
     analytic = np.stack([np.concatenate([b.d_input.reshape(-1), b.d_gamma, b.d_beta])
@@ -204,7 +205,7 @@ def check_layer(mode: BnMode, shape, seed: int = 0, step: float = DEFAULT_STEP) 
         mode=mode.value,
         shape=shape,
         seed=seed,
-        step=step,
+        step=DEFAULT_STEP,
         **checks,
         max_rel_err=checks[worst_param].max_rel_err,
         max_abs_err=max(ch.max_abs_err for ch in checks.values()),

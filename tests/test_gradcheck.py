@@ -107,12 +107,14 @@ class TestCheckLayer:
         assert report.backward_agreement <= 1e-10
         assert check_layer(BnMode.L2, (8, 4), seed=5).backward_agreement is None
 
-    def test_step_halving_not_truncation_dominated(self):
+    def test_step_halving_not_truncation_dominated(self, monkeypatch):
         # a truncation-dominated discrepancy would shrink ~4x when the step
         # halves; the reported noise-floor discrepancy must not do that
         for mode in (BnMode.L2, BnMode.L1):
-            e_full = check_layer(mode, (7, 3), seed=0, step=1e-5).max_rel_err
-            e_half = check_layer(mode, (7, 3), seed=0, step=5e-6).max_rel_err
+            monkeypatch.setattr(gradcheck, "DEFAULT_STEP", 1e-5)
+            e_full = check_layer(mode, (7, 3), seed=0).max_rel_err
+            monkeypatch.setattr(gradcheck, "DEFAULT_STEP", 5e-6)
+            e_half = check_layer(mode, (7, 3), seed=0).max_rel_err
             assert e_half >= 0.5 * e_full
             assert max(e_full, e_half) <= 1e-5
 
