@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -56,15 +57,23 @@ from l1bn.tensor import Rng
 SCRIPTS = Path(__file__).resolve().parent
 ARCH_FILES = ("sample.arch", "deep_cnn.arch", "mlp.arch")
 
-# (shape, seed) of each gradcheck call one `perfbench` validate round makes
-GRAD_CASES = (
-    [((5, 2), s) for s in range(5)]
-    + [((7, 3), 100 + s) for s in range(5)]
-    + [((16, 8), 200 + s) for s in range(5)]
-    + [((4, 3, 3, 2), 300 + s) for s in range(3)]
-    + [((6, 2, 2, 4), 400 + s) for s in range(2)]
-)
-GAUSSIAN_PAIRS = ((0.0, 1.0), (5.0, 3.0), (-2.0, 0.5), (10.0, 0.1), (3.0, 7.0))
+
+def _perfbench_workloads():
+    """``perfbench/workloads.py``, imported read-only; sys.path is left as found."""
+    perfbench = str(SCRIPTS.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(perfbench)
+        sys.modules.pop("workloads", None)
+
+
+# the (shape, seed) gradcheck cases and (mu, sigma) ratio pairs of a `perfbench`
+# validate round, and its argv for a gradcheck shape
+_workloads = _perfbench_workloads()
+GRAD_CASES, GAUSSIAN_PAIRS = _workloads.GRAD_CASES, _workloads.GAUSSIAN_PAIRS
+_shape_args = _workloads._shape_args
 
 # Input files the error cases read, written into the work directory.
 INPUT_FILES = {
@@ -96,14 +105,6 @@ INPUT_FILES = {
     "inf_time.arch": f"fc {10**154} 1 1 {10**154}\n".encode(),
     "huge_count.arch": f"fc {10**400} 1 1 1\n".encode(),
 }
-
-
-def _shape_args(shape) -> list[str]:
-    if len(shape) == 2:
-        return ["--layouts", "2d", "--m", str(shape[0]), "--d", str(shape[1])]
-    m, h, w, c = shape
-    return ["--layouts", "4d", "--m", str(m), "--height", str(h), "--width", str(w),
-            "--channels", str(c)]
 
 
 def cli_invocations() -> list[list[str]]:
@@ -219,11 +220,12 @@ def _outputs(outdir: Path) -> list[tuple[str, bytes]]:
 
 def run_cli(argv: list[str], outdir: str) -> tuple[str, str]:
     """Digests of one in-process CLI call: exit code, stdout, stderr and outputs,
-    then the same without ``manifest.json``."""
+    then the same without ``manifest.json``.  A call with no subcommand gets no
+    ``--outdir`` either: argparse would quote it as the missing subcommand."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv + ["--outdir", outdir])
+            code = cli.main(argv + ["--outdir", outdir] if argv else [])
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
         except Exception as exc:  # a traceback: digest it, so two checkouts still compare
