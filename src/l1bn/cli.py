@@ -1,12 +1,11 @@
 """Command-line entry point: every experiment behind one binary.
 
 Subcommands: ``gradcheck``, ``ratio``, ``train``, ``cost``.  Each returns its
-outputs as text; ``main`` alone writes them under the run directory, after a
-``manifest.json`` (seed, resolved options, library version), and only when the
-whole run succeeded.  Equal options give byte-identical files.  Exit codes: 0
-success, 1 experiment/assertion failure, 2 usage error, which includes setting
-an option that the run does not read.  The pass/fail bounds are the fixed
-acceptance bounds, not options.
+outputs as text and ``main`` alone writes them, ``manifest.json`` (seed, resolved
+options, library version) first, only once the whole run has succeeded.  Equal
+options give byte-identical files.  Exit codes: 0 success, 1 experiment/assertion
+failure, 2 usage error, which includes setting an option that the run does not
+read.  The pass/fail bounds and the finite-difference step are constants.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from .trainer import PARITY_TOLERANCE_PP, MlpSpec, SgdConfig, SyntheticTask, par
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1234  # bare invocations are reproducible
 
-# What a command returns: its output files in write order (name -> text), its
-# stdout lines and its exit code.  ``main`` alone writes and prints them.
+# a command's output files in write order (name -> text), stdout lines and exit code
 Outputs = tuple[dict[str, str], list[str], int]
 
 # Defaults of the options that only some runs read.  These parse to None, so
@@ -138,12 +136,9 @@ def _unread(args) -> dict[str, str]:
 def cmd_gradcheck(args) -> Outputs:
     modes = [BnMode(m) for m in args.modes.split(",")]
     layouts = args.layouts.split(",")
-    reports = []
     shapes = {"2d": (args.m, args.d), "4d": (args.m, args.height, args.width, args.channels)}
-    for mode in modes:
-        for layout in layouts:
-            shape = shapes[layout]
-            reports.append(check_layer(mode, shape, seed=args.seed))
+    reports = [check_layer(mode, shapes[layout], seed=args.seed)
+               for mode in modes for layout in layouts]
     worst = max(r.max_rel_err for r in reports)
     passed = worst <= GRADCHECK_THRESHOLD
     files = {"reports.json": _json({

@@ -179,8 +179,7 @@ def check_layer(mode: BnMode, shape, seed: int = 0) -> GradReport:
     # of the two L1 forms, so both are certified at once, and a tie keeps the first
     analytic = np.stack([np.concatenate([b.d_input.reshape(-1), b.d_gamma, b.d_beta])
                          for b in bundles.values()])
-    # a non-finite entry is named, not compared: max() and argmax() skip a NaN or
-    # pick it by position, so it could pass as any error at all
+    # a non-finite entry is named, not compared: max() would skip a NaN or keep it by position
     bad = np.argwhere(~np.isfinite(np.vstack([numeric, analytic])))
     if len(bad):
         row, col = bad[0]

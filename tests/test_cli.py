@@ -540,8 +540,8 @@ class TestOneLineErrors:
             "cost-zero-l1-time", "cost-zero-l2-power",
             "cost-root-without-include-root", "cost-repeated-op", "cost-repeated-field",
             "cost-l2-power-overflows",
-            "cost-l2-time-overflows", "cost-count-beyond-float", "ratio-stream-floor", "ratio-stream-constant",
-            "ratio-allocation-fails"])
+            "cost-l2-time-overflows", "cost-count-beyond-float", "ratio-stream-floor",
+            "ratio-stream-constant", "ratio-allocation-fails"])
     def test_exit_one_with_one_stderr_line(self, tmp_path, capsys, argv, line):
         latin1 = tmp_path / "latin1.arch"
         latin1.write_bytes("conv_\u00e9 32 8 8 16\n".encode("latin-1"))
