@@ -2,7 +2,7 @@
 
 Subcommands: ``gradcheck``, ``ratio``, ``train``, ``cost``.  Each returns its
 outputs as text and ``main`` alone writes them, ``manifest.json`` (seed, resolved
-options, library version) first, only once the whole run has succeeded.  Equal
+options, library version) first, and none when the command raised.  Equal
 options give byte-identical files.  Exit codes: 0 success, 1 experiment/assertion
 failure, 2 usage error, which includes setting an option that the run does not
 read.  The pass/fail bounds and the finite-difference step are constants.
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
             setattr(args, name, value)
     try:
         files, lines, code = args.func(args)
-        # nothing is written unless the whole run succeeded; the manifest goes first
+        # nothing is written when the command raised; the manifest goes first
         for name, text in {"manifest.json": _manifest(args), **files}.items():
             _write_output(Path(args.outdir) / name, text)
         for line in lines:

@@ -180,9 +180,9 @@ def check_layer(mode: BnMode, shape, seed: int = 0) -> GradReport:
     analytic = np.stack([np.concatenate([b.d_input.reshape(-1), b.d_gamma, b.d_beta])
                          for b in bundles.values()])
     # a non-finite entry is named, not compared: max() would skip a NaN or keep it by position
-    bad = np.argwhere(~np.isfinite(np.vstack([numeric, analytic])))
-    if len(bad):
-        row, col = bad[0]
+    finite = np.isfinite(np.vstack([numeric, analytic]))
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
         name, span, slot_shape = next(slot for slot in slots if col < slot[1].stop)
         idx = tuple(int(j) for j in np.unravel_index(col - span.start, slot_shape))
         source = "probe value near" if row == 0 else f"{list(bundles)[row - 1]} backward value at"

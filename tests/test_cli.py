@@ -437,6 +437,22 @@ class TestOutputFiles:
         assert set(longer) == set(fresh)
         assert all(len(longer[name]) > len(fresh[name]) for name in fresh)
 
+    @pytest.mark.parametrize("argv, names", [
+        (["gradcheck", "--modes", "l2"], ["reports.json"]),
+        (["ratio", "--n", "1000"], ["ratios.csv", "summary.json"]),
+        (["train", "--runs", "1", "--epochs", "1"],
+         ["l2_seed1234.csv", "l1_seed1234.csv", "summary.json"]),
+        (["cost", "--arch", SAMPLE_ARCH], ["layers.csv", "totals.json"]),
+    ], ids=["gradcheck", "ratio", "train", "cost"])
+    def test_every_output_goes_through_one_writer(self, tmp_path, monkeypatch, argv, names):
+        # with _write_output recording instead of writing, no file may appear
+        writes = []
+        monkeypatch.setattr(cli, "_write_output", lambda path, text: writes.append(path))
+        outdir = tmp_path / "out"
+        assert main(argv + ["--outdir", str(outdir)]) == 0
+        assert writes == [outdir / name for name in ["manifest.json", *names]]
+        assert not outdir.exists()
+
     def test_file_modes_match_open_for_writing(self, tmp_path):
         outdir = tmp_path / "cost"
         argv = ["cost", "--arch", SAMPLE_ARCH, "--outdir", str(outdir)]
