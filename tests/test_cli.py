@@ -374,6 +374,15 @@ class TestCostCommand:
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 SAMPLE_ARCH = str(Path(__file__).resolve().parent.parent / "scripts" / "sample.arch")
 
+# a quick successful run of each command, and the files it writes after manifest.json
+QUICK_RUNS = {
+    "gradcheck": (["gradcheck", "--modes", "l2"], ["reports.json"]),
+    "ratio": (["ratio", "--n", "1000"], ["ratios.csv", "summary.json"]),
+    "train": (["train", "--runs", "1", "--epochs", "1"],
+              ["l2_seed1234.csv", "l1_seed1234.csv", "summary.json"]),
+    "cost": (["cost", "--arch", SAMPLE_ARCH], ["layers.csv", "totals.json"]),
+}
+
 
 def snapshot(outdir):
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
@@ -437,15 +446,10 @@ class TestOutputFiles:
         assert set(longer) == set(fresh)
         assert all(len(longer[name]) > len(fresh[name]) for name in fresh)
 
-    @pytest.mark.parametrize("argv, names", [
-        (["gradcheck", "--modes", "l2"], ["reports.json"]),
-        (["ratio", "--n", "1000"], ["ratios.csv", "summary.json"]),
-        (["train", "--runs", "1", "--epochs", "1"],
-         ["l2_seed1234.csv", "l1_seed1234.csv", "summary.json"]),
-        (["cost", "--arch", SAMPLE_ARCH], ["layers.csv", "totals.json"]),
-    ], ids=["gradcheck", "ratio", "train", "cost"])
-    def test_every_output_goes_through_one_writer(self, tmp_path, monkeypatch, argv, names):
+    @pytest.mark.parametrize("command", QUICK_RUNS)
+    def test_every_output_goes_through_one_writer(self, tmp_path, monkeypatch, command):
         # with _write_output recording instead of writing, no file may appear
+        argv, names = QUICK_RUNS[command]
         writes = []
         monkeypatch.setattr(cli, "_write_output", lambda path, text: writes.append(path))
         outdir = tmp_path / "out"
@@ -591,14 +595,10 @@ class TestOneLineErrors:
         assert caught == []
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["gradcheck", "--modes", "l2"],
-        ["ratio", "--n", "1000"],
-        ["train", "--runs", "1", "--epochs", "1"],
-        ["cost", "--arch", SAMPLE_ARCH],
-    ], ids=lambda argv: argv[0])
-    def test_unwritable_outdir(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("command", QUICK_RUNS)
+    def test_unwritable_outdir(self, tmp_path, capsys, command):
         # the manifest is the first write, so its path is the one named
+        argv = QUICK_RUNS[command][0]
         blocker = tmp_path / "file"
         blocker.write_bytes(b"")
         outdir = blocker / "out"
