@@ -197,31 +197,13 @@ class CostProfile:
         return round(self.power_saving_pct / 10.0) * 10.0
 
     def to_dict(self) -> dict:
-        return {
-            "include_root": self.include_root,
-            "counts_l2": self.counts_l2,
-            "counts_l1": self.counts_l1,
-            "totals_l2": self.totals_l2,
-            "totals_l1": self.totals_l1,
-            "time_ratio_l2_over_l1": self.time_ratio_l2_over_l1,
-            "power_saving_fraction": self.power_saving_fraction,
-            "power_saving_pct": self.power_saving_pct,
-            "power_saving_pct_round10": self.power_saving_pct_round10,
-            "layers": [
-                {
-                    "name": lc.shape.name,
-                    "m": lc.shape.m,
-                    "h": lc.shape.h,
-                    "w": lc.shape.w,
-                    "c": lc.shape.c,
-                    "counts_l2": lc.counts_l2,
-                    "counts_l1": lc.counts_l1,
-                    "weighted_l2": lc.weighted_l2,
-                    "weighted_l1": lc.weighted_l1,
-                }
-                for lc in self.layers
-            ],
-        }
+        """The profile's fields and its two percentages; each layer is its
+        ``LayerShape``'s fields and then its other ``LayerCost`` fields."""
+        layers = [{**vars(lc.shape), **vars(lc)} for lc in self.layers]
+        for layer in layers:
+            del layer["shape"]
+        return {**vars(self), "layers": layers, "power_saving_pct": self.power_saving_pct,
+                "power_saving_pct_round10": self.power_saving_pct_round10}
 
 
 def model_report(layers: list[LayerShape], costs: OpCosts = OpCosts(),

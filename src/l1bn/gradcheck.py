@@ -79,13 +79,6 @@ class ParamCheck:
     max_abs_err: float
     worst_index: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "max_rel_err": self.max_rel_err,
-            "max_abs_err": self.max_abs_err,
-            "worst_index": list(self.worst_index),
-        }
-
 
 @dataclass
 class GradReport:
@@ -105,19 +98,9 @@ class GradReport:
     backward_agreement: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "shape": list(self.shape),
-            "seed": self.seed,
-            "step": self.step,
-            "input": self.input.to_dict(),
-            "gamma": self.gamma.to_dict(),
-            "beta": self.beta.to_dict(),
-            "max_rel_err": self.max_rel_err,
-            "max_abs_err": self.max_abs_err,
-            "worst_param": self.worst_param,
-            "backward_agreement": self.backward_agreement,
-        }
+        """The report's fields, each slot's ``ParamCheck`` as a fresh dict."""
+        return {name: vars(value).copy() if isinstance(value, ParamCheck) else value
+                for name, value in vars(self).items()}
 
 
 def draw_inputs(mode: BnMode, shape, rng: Rng) -> np.ndarray:

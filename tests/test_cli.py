@@ -16,6 +16,8 @@ import pytest
 
 from l1bn import cli, gradcheck
 from l1bn.cli import build_parser, main
+from l1bn.costmodel import CostProfile, LayerCost, LayerShape, parse_architecture
+from l1bn.gradcheck import GradReport, ParamCheck
 
 
 def read_json(path):
@@ -456,6 +458,26 @@ class TestOutputFiles:
         assert main(argv + ["--outdir", str(outdir)]) == 0
         assert writes == [outdir / name for name in ["manifest.json", *names]]
         assert not outdir.exists()
+
+    def test_json_keys_are_the_record_fields(self, tmp_path):
+        # a field added to a record reaches the file with no second edit
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert main(["gradcheck", "--layouts", "2d,4d", "--outdir", str(tmp_path / "gc")]) == 0
+        reports = read_json(tmp_path / "gc" / "reports.json")["reports"]
+        assert len(reports) == 6
+        for report in reports:
+            assert set(report) == names(GradReport)
+            for slot in ("input", "gamma", "beta"):
+                assert set(report[slot]) == names(ParamCheck)
+        assert main(["cost", "--arch", SAMPLE_ARCH, "--outdir", str(tmp_path / "cost")]) == 0
+        totals = read_json(tmp_path / "cost" / "totals.json")
+        assert set(totals) == names(CostProfile) | {
+            "schema_version", "power_saving_pct", "power_saving_pct_round10"}
+        assert len(totals["layers"]) == len(parse_architecture(SAMPLE_ARCH))
+        for layer in totals["layers"]:
+            assert set(layer) == names(LayerShape) | names(LayerCost) - {"shape"}
 
     def test_file_modes_match_open_for_writing(self, tmp_path):
         outdir = tmp_path / "cost"
