@@ -18,9 +18,12 @@ JSON object: a SHA-256 per invocation, per group and overall, and under
 invocation that leaves ``manifest.json`` out, for comparing runs whose
 options differ but whose results should not.  No golden digest
 is kept, since matmul bits depend on the BLAS build: compare two checkouts on
-one machine instead.
+one machine instead.  ``--compare`` reads two saved outputs, runs nothing,
+prints one line per invocation removed, added or whose digest differs (with
+the manifest, then without it) and exits 1 when it printed any.
 
-    PYTHONPATH=src python3 scripts/fingerprint.py [--workdir DIR]
+    PYTHONPATH=src python3 scripts/fingerprint.py [--workdir DIR] > head.json
+    PYTHONPATH=src python3 scripts/fingerprint.py --compare base.json head.json
 """
 
 from __future__ import annotations
@@ -104,6 +107,7 @@ INPUT_FILES = {
     "inf_power.arch": f"fc {2 * 10**307} 1 1 1\n".encode(),
     "inf_time.arch": f"fc {10**154} 1 1 {10**154}\n".encode(),
     "huge_count.arch": f"fc {10**400} 1 1 1\n".encode(),
+    "huge_weight.json": f'{{"sign": {{"time_ns": {10**400}}}}}'.encode(),
 }
 
 
@@ -302,12 +306,37 @@ def fingerprint(workdir: Path) -> dict:
     return result
 
 
+def compare(base: dict, head: dict) -> list[str]:
+    """One line per invocation that two outputs of this script disagree on: each
+    one removed or added, then each digest that differs, with the manifest and
+    then without it."""
+    lines = []
+    for key, label in (("invocations", ""), ("invocations_without_manifest", " without manifest")):
+        for group in dict.fromkeys([*base[key], *head[key]]):
+            old, new = base[key].get(group, {}), head[key].get(group, {})
+            if key == "invocations":
+                lines += [f"{group}: removed: {json.dumps(n)}" for n in old if n not in new]
+                lines += [f"{group}: added: {json.dumps(n)}" for n in new if n not in old]
+            lines += [f"{group}{label}: differs: {json.dumps(n)}"
+                      for n in old if n in new and old[n] != new[n]]
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workdir", type=Path, default=None,
-                        help="run here, reusing what is there (default: a fresh temporary "
-                             "directory, removed afterwards)")
+    runs = parser.add_mutually_exclusive_group()
+    runs.add_argument("--workdir", type=Path, default=None,
+                      help="run here, reusing what is there (default: a fresh temporary "
+                           "directory, removed afterwards)")
+    runs.add_argument("--compare", nargs=2, type=Path, metavar=("BASE", "HEAD"),
+                      help="run nothing: name each invocation that two saved outputs "
+                           "disagree on, and exit 1 if there is one")
     args = parser.parse_args(argv)
+    if args.compare is not None:
+        lines = compare(*(json.loads(path.read_text(encoding="utf-8")) for path in args.compare))
+        for line in lines:
+            print(line)
+        return int(bool(lines))
     if args.workdir is not None:
         result = fingerprint(args.workdir)
     else:

@@ -45,6 +45,14 @@ from .batchnorm import BnMode
 OP_NAMES = ("sign", "abs", "square", "root")
 
 
+def _check_weight(label: str, value) -> None:
+    """Raise ValueError, prefixed with ``label``, unless ``value`` is a valid op
+    weight: an int or float, not a bool, finite and at least 0."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not math.isfinite(value)) or value < 0):
+        raise ValueError(f"{label}: expected a finite nonnegative number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OpCost:
     time_ns: float
@@ -52,8 +60,7 @@ class OpCost:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be nonnegative")
+            _check_weight(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -102,10 +109,7 @@ class OpCosts:
                 if name not in base:
                     raise ValueError(
                         f"{path}: {op}: unknown field {name!r} (expected {', '.join(base)})")
-                if (isinstance(value, bool) or not isinstance(value, (int, float))
-                        or not math.isfinite(value) or value < 0):
-                    raise ValueError(f"{path}: {op}.{name}: expected a finite "
-                                     f"nonnegative number, got {value!r}")
+                _check_weight(f"{path}: {op}.{name}", value)
             base.update(fields)
             kwargs[op] = OpCost(**base)
         if "root" in kwargs and not include_root:

@@ -49,6 +49,8 @@ class SgdConfig:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 2:  # a batch of 1 has no batch statistics: train skips it
             raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
+        if self.epochs < 1:  # no epoch trains nothing, and 0% accuracy passes any gap
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
 
     def lr_at(self, epoch: int) -> float:
         decays = sum(1 for e in self.lr_decay_epochs if epoch >= e)

@@ -570,6 +570,9 @@ class TestOneLineErrors:
         (["cost", "--arch", "{inf_power}"], "cost: L2 total power_uw overflows float64"),
         (["cost", "--arch", "{inf_time}"], "cost: L2 total time_ns overflows float64"),
         (["cost", "--arch", "{huge_count}"], "cost: L2 total time_ns overflows float64"),
+        # an integer weight is finite whatever its size; its totals overflow instead
+        (["cost", "--arch", SAMPLE_ARCH, "--costs", "{huge_weight}"],
+         "cost: L1 total time_ns overflows float64"),
         (["ratio", "--n", "50"], "ratio: pooled count 50 < 100; ratios would be noise"),
         (["ratio", "--sigma", "0"], "ratio: channel 0 has zero deviation; its ratio is undefined"),
         # 711 PiB is beyond any 64-bit user address space, so the allocation fails
@@ -582,7 +585,8 @@ class TestOneLineErrors:
             "cost-zero-l1-time", "cost-zero-l2-power",
             "cost-root-without-include-root", "cost-repeated-op", "cost-repeated-field",
             "cost-l2-power-overflows",
-            "cost-l2-time-overflows", "cost-count-beyond-float", "ratio-stream-floor",
+            "cost-l2-time-overflows", "cost-count-beyond-float", "cost-weight-beyond-float",
+            "ratio-stream-floor",
             "ratio-stream-constant", "ratio-allocation-fails"])
     def test_exit_one_with_one_stderr_line(self, tmp_path, capsys, argv, line):
         latin1 = tmp_path / "latin1.arch"
@@ -597,11 +601,13 @@ class TestOneLineErrors:
         repeated_op.write_text('{"square": {"time_ns": 6.0}, "square": {"time_ns": 9.0}}')
         repeated_field = tmp_path / "repeated_field.json"
         repeated_field.write_text('{"square": {"time_ns": 6.0, "time_ns": 9.0}}')
+        huge_weight = tmp_path / "huge_weight.json"
+        huge_weight.write_text(f'{{"sign": {{"time_ns": {10**400}}}}}')
         paths = {"empty": write_arch(tmp_path, "empty.arch", ["# no layers here"]),
                  "missing": str(tmp_path / "missing.arch"), "latin1": str(latin1),
                  "zero_time": str(zero_time), "zero_power": str(zero_power),
                  "root": str(root), "repeated_op": str(repeated_op),
-                 "repeated_field": str(repeated_field),
+                 "repeated_field": str(repeated_field), "huge_weight": str(huge_weight),
                  # integers whose weighted totals pass float64's 1.8e308
                  "inf_power": write_arch(tmp_path, "inf_power.arch", [f"fc {2 * 10**307} 1 1 1"]),
                  "inf_time": write_arch(tmp_path, "inf_time.arch",

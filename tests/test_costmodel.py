@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,16 @@ class TestDefaults:
     def test_nonnegative_enforced(self):
         with pytest.raises(ValueError):
             OpCost(time_ns=-1.0, power_uw=1.0)
+
+    # the rule OpCosts.from_json applies to each value it reads
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, "1"],
+                             ids=["nan", "inf", "bool", "string"])
+    @pytest.mark.parametrize("field", ["time_ns", "power_uw"])
+    def test_invalid_weight_names_its_field(self, field, value):
+        weights = {"time_ns": 1.0, "power_uw": 1.0, field: value}
+        with pytest.raises(ValueError) as exc:
+            OpCost(**weights)
+        assert str(exc.value) == f"{field}: expected a finite nonnegative number, got {value!r}"
 
 
 class TestCountOps:

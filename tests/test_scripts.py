@@ -58,11 +58,16 @@ def test_every_arch_file_parses_and_costs(arch, tmp_path):
         [layer.name, str(layer.m), str(layer.h), str(layer.w), str(layer.c)] for layer in layers]
 
 
-def test_fingerprint_same_digests_in_a_fresh_and_a_reused_directory(tmp_path):
+def load_fingerprint():
     spec = importlib.util.spec_from_file_location("fingerprint",
                                                   ROOT / "scripts" / "fingerprint.py")
     fingerprint = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fingerprint)
+    return fingerprint
+
+
+def test_fingerprint_same_digests_in_a_fresh_and_a_reused_directory(tmp_path):
+    fingerprint = load_fingerprint()
     workdir = tmp_path / "work"
     fresh = fingerprint.fingerprint(workdir)
     reused = fingerprint.fingerprint(workdir)  # every output is already there
@@ -81,3 +86,36 @@ def test_fingerprint_same_digests_in_a_fresh_and_a_reused_directory(tmp_path):
         for i, (name, digest) in enumerate(without.items()):
             wrote = (workdir / "out" / f"{group}{i:03d}" / "manifest.json").exists()
             assert (digest != invocations[group][name]) == wrote, name
+
+
+def test_fingerprint_compare_names_each_changed_and_removed_invocation(tmp_path, capsys):
+    fingerprint = load_fingerprint()
+    # the shape of a saved output, with one digest per invocation
+    base = {"invocations": {"cli": {"": "a0", "cost --arch sample.arch": "a1",
+                                    "ratio --n 5000": "a2"},
+                            "train": {"train --epochs 2": "b0"}, "kernel": {"l2 (16, 8)": "c0"}},
+            "invocations_without_manifest": {"cli": {"": "a0", "cost --arch sample.arch": "d1",
+                                                     "ratio --n 5000": "d2"},
+                                             "train": {"train --epochs 2": "e0"}}}
+    saved = tmp_path / "base.json"
+    saved.write_text(json.dumps(base, indent=2), encoding="utf-8")
+    assert fingerprint.main(["--compare", str(saved), str(saved)]) == 0
+    assert capsys.readouterr() == ("", "")
+
+    head = json.loads(saved.read_text(encoding="utf-8"))
+    head["invocations"]["cli"]["cost --arch sample.arch"] = "f1"
+    for group in ("invocations", "invocations_without_manifest"):
+        del head[group]["cli"]["ratio --n 5000"]
+    changed = tmp_path / "head.json"
+    changed.write_text(json.dumps(head), encoding="utf-8")
+    assert fingerprint.main(["--compare", str(saved), str(changed)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        'cli: removed: "ratio --n 5000"', 'cli: differs: "cost --arch sample.arch"']
+    # swapped, the removed invocation reads as added; a digest without the manifest
+    # is compared on its own
+    head["invocations_without_manifest"]["train"]["train --epochs 2"] = "f2"
+    changed.write_text(json.dumps(head), encoding="utf-8")
+    assert fingerprint.main(["--compare", str(changed), str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        'cli: added: "ratio --n 5000"', 'cli: differs: "cost --arch sample.arch"',
+        'train without manifest: differs: "train --epochs 2"']

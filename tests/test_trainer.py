@@ -587,3 +587,9 @@ class TestSpecValidation:
             SgdConfig(learning_rate=0.0)
         with pytest.raises(ValueError, match="batch_size"):
             SgdConfig(batch_size=1)  # every batch would be skipped: no row trains
+
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_epochs_at_least_one(self, epochs):
+        # no epoch trains nothing: both accuracies would read 0.0 and pass the gap gate
+        with pytest.raises(ValueError, match=f"^epochs must be at least 1, got {epochs}$"):
+            SgdConfig(epochs=epochs)
