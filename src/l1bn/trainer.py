@@ -49,7 +49,7 @@ class SgdConfig:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 2:  # a batch of 1 has no batch statistics: train skips it
             raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
-        if self.epochs < 1:  # no epoch trains nothing, and 0% accuracy passes any gap
+        if self.epochs < 1:  # nothing would train, and the 0.0 pp gap would pass the gate
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
 
     def lr_at(self, epoch: int) -> float:
