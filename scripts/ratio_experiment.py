@@ -13,9 +13,11 @@ import argparse
 import csv
 from pathlib import Path
 
-from l1bn.batchnorm import BnMode
+import numpy as np
+
+from l1bn.batchnorm import BnMode, bn_forward_infer
 from l1bn.ratio import channelwise_ratio_map
-from l1bn.trainer import DenseLayer, Mlp, MlpSpec, SgdConfig, SyntheticTask, train
+from l1bn.trainer import BnLayer, DenseLayer, Mlp, MlpSpec, SgdConfig, SyntheticTask, train
 
 
 def main() -> int:
@@ -29,13 +31,18 @@ def main() -> int:
                          spread=1.0, seed=0)
     model = Mlp(MlpSpec(in_dim=12, hidden=(48, 48, 48), classes=4, bn_mode=BnMode.L1, seed=0))
     train(model, task, SgdConfig(learning_rate=0.1, epochs=8, batch_size=64))
-    # each hidden dense layer's output on the inference path: x @ W, since the
-    # dense layers of a BN net have no bias; the head's logits are left out
+    # each hidden dense layer's output on the inference path, layer by layer:
+    # x @ W, since the dense layers of a BN net have no bias, then BN with the
+    # running statistics and the ReLU; the head's logits are left out
     acts, out = [], task.make()[0][:1024]
     for layer in model.layers[:-1]:
-        out = layer.forward(out, training=False)
         if isinstance(layer, DenseLayer):
+            out = out @ layer.w
             acts.append(out)
+        elif isinstance(layer, BnLayer):
+            out = bn_forward_infer(out, layer.params, layer.state)
+        else:
+            out = np.fmax(out, 0.0)
     for i, act in enumerate(acts):
         rep = channelwise_ratio_map(act)
         with open(outdir / f"mlp_layer{i}.csv", "w", newline="") as fh:

@@ -360,14 +360,10 @@ def update_running_stats(state: BnState, mu_b: np.ndarray,
     return state
 
 
-def bn_forward_infer(x: np.ndarray, params: BnParams, state: BnState) -> np.ndarray:
-    """Single fused multiply-add using running statistics: the frozen statistics
-    and the affine stage fold into one (scale, shift) pair per feature.
-
-    Identical per-sample results whether ``x`` is one sample or a batch.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    _checked_rows(x, params)
+def inference_scale_shift(params: BnParams, state: BnState) -> tuple[np.ndarray, np.ndarray]:
+    """The frozen statistics and the affine stage folded into one per-feature
+    pair: inference is ``y = x·scale + shift``.  Fresh arrays, built on each call,
+    since SGD updates γ, β and the running statistics in place."""
     if state.updates == 0:
         raise ValueError("running statistics were never updated")
     if state.running_mu.shape[0] != params.num_features:
@@ -377,6 +373,18 @@ def bn_forward_infer(x: np.ndarray, params: BnParams, state: BnState) -> np.ndar
     else:
         denom = state.running_sigma + params.epsilon
     scale = params.gamma / denom
-    shift = params.beta - scale * state.running_mu
+    return scale, params.beta - scale * state.running_mu
+
+
+def bn_forward_infer(x: np.ndarray, params: BnParams, state: BnState) -> np.ndarray:
+    """Single fused multiply-add using running statistics: the frozen statistics
+    and the affine stage fold into one (scale, shift) pair per feature, rebuilt
+    on each call by ``inference_scale_shift``.
+
+    Identical per-sample results whether ``x`` is one sample or a batch.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _checked_rows(x, params)
+    scale, shift = inference_scale_shift(params, state)
     y = np.multiply(x, scale)
     return np.add(y, shift, out=y)

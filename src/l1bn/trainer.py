@@ -2,7 +2,10 @@
 
 Dense -> BN -> ReLU blocks, softmax cross-entropy, SGD with momentum.  A dense
 layer that feeds a BN layer has no bias: BN's mean subtraction cancels it and
-β takes its place (Ioffe & Szegedy 2015, §3.2).  The classification task is
+β takes its place (Ioffe & Szegedy 2015, §3.2).  The layer objects run the
+training forward only; the per-epoch evaluation folds each BN layer's frozen
+statistics into the dense layer before it (Jacob et al. 2018, arXiv:1712.05877,
+§3.2) and makes no layer call.  The classification task is
 synthetic (Gaussian clusters), which keeps a full run under a minute while
 exercising every forward/backward/statistics code path.
 """
@@ -22,8 +25,8 @@ from .batchnorm import (
     BnParams,
     BnState,
     bn_backward,
-    bn_forward_infer,
     bn_forward_train,
+    inference_scale_shift,
     update_running_stats,
 )
 from .tensor import Rng
@@ -130,9 +133,8 @@ class DenseLayer:
         self.input_grad = input_grad
         self._x = None
 
-    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        if training:
-            self._x = x
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._x = x
         out = x @ self.w
         if self.b is not None:
             out += self.b  # same sum as `x @ w + b`, without a second fresh array
@@ -149,9 +151,8 @@ class ReluLayer:
     def __init__(self):
         self._mask = None
 
-    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        if training:
-            self._mask = x > 0
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._mask = x > 0
         # fmax, unlike maximum, maps NaN to 0.0, so it matches
         # np.where(x > 0, x, 0.0) bit for bit
         return np.fmax(x, 0.0)
@@ -173,13 +174,10 @@ class BnLayer:
         self.state = BnState.init(num_features)
         self._cache = None
 
-    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        if training:
-            y, cache = bn_forward_train(x, self.params)
-            self._cache = cache
-            update_running_stats(self.state, cache.mu_b, cache.sigma_b)
-            return y
-        return bn_forward_infer(x, self.params, self.state)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        y, self._cache = bn_forward_train(x, self.params)
+        update_running_stats(self.state, self._cache.mu_b, self._cache.sigma_b)
+        return y
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         bundle = bn_backward(d_out, self._cache, self.params)
@@ -225,10 +223,12 @@ class Mlp:
             self.layers.append(ReluLayer())
         self.layers.append(DenseLayer(take, rng, widths[-2], spec.classes))
 
-    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The training forward: each layer keeps what its backward reads, and each
+        BN layer normalizes with the batch's statistics and updates its running ones."""
         out = x
         for layer in self.layers:
-            out = layer.forward(out, training)
+            out = layer.forward(out)
         return out
 
     def backward(self, d_logits: np.ndarray) -> None:
@@ -255,7 +255,7 @@ def forward_backward_step(model: Mlp, batch: np.ndarray,
                           labels: np.ndarray) -> tuple[float, np.ndarray]:
     """One training forward/backward; returns the loss and ``model.grad``.
     Raises DivergenceError on non-finite loss."""
-    logits = model.forward(batch, training=True)
+    logits = model.forward(batch)
     loss, d_logits = softmax_cross_entropy(logits, labels)
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
@@ -295,24 +295,58 @@ class TrainingRecord:
         ]
 
 
+def inference_stages(model: Mlp) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The net's inference forward as one ``(w, b)`` per dense layer, in order; a
+    ReLU follows every stage but the last, the head.  Each BN layer's frozen
+    statistics fold into the bias-free dense layer before it, as ``(w·scale,
+    shift)`` from ``inference_scale_shift``; every other dense layer passes
+    through as its own ``(w, b)``.  The folded arrays are fresh and hold for one
+    evaluation only, since SGD updates θ and the running statistics in place."""
+    stages = []
+    for layer in model.layers:
+        if isinstance(layer, DenseLayer):
+            stages.append((layer.w, layer.b))
+        elif isinstance(layer, BnLayer):
+            scale, shift = inference_scale_shift(layer.params, layer.state)
+            stages[-1] = (stages[-1][0] * scale, shift)
+    return stages
+
+
+def inference_logits(stages: list[tuple[np.ndarray, np.ndarray]],
+                     x: np.ndarray) -> np.ndarray:
+    """Logits of the rows ``x`` through ``inference_stages(model)``: ``x @ w``, then
+    ``+= b`` and an in-place ReLU, per stage; the head gets no ReLU."""
+    *hidden, (w_head, b_head) = stages
+    for w, b in hidden:
+        out = x @ w
+        out += b
+        x = np.fmax(out, 0.0, out=out)  # fmax, as ReluLayer: NaN maps to 0.0
+    logits = x @ w_head
+    logits += b_head
+    return logits
+
+
 def accuracy(model: Mlp, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of rows whose largest logit is the label: ``np.mean(argmax == y)``
     bit for bit, from hit counts summed over row blocks.
 
-    A block holds about ``BLOCK_ELEMS // widest layer`` rows (512 for the parity
-    net), so each layer's activation is a cache-sized block rather than a fresh
-    full-set array.  The rows split into ⌈N/step⌉ blocks of near-equal size,
-    none of one row: a one-row matmul takes another BLAS path.  The head's
-    logits can differ in the last bit from a whole-set forward's; on the
-    presets no accuracy moves.
+    The net's stages are built once per call by ``inference_stages``, each BN
+    layer folded into the dense layer before it, so a block costs one matmul,
+    one add and one ReLU per hidden layer.  A block holds about ``BLOCK_ELEMS //
+    widest layer`` rows (512 for the parity net), so each layer's activation is
+    a cache-sized block rather than a fresh full-set array.  The rows split into
+    ⌈N/step⌉ blocks of near-equal size, none of one row: a one-row matmul takes
+    another BLAS path.  The logits can differ in the last bits from a per-layer,
+    whole-set inference forward's; on the presets no accuracy moves.
     """
     spec = model.spec
     step = max(1, BLOCK_ELEMS // max(spec.in_dim, *spec.hidden, spec.classes))
     n = len(x)
     blocks = max(1, min(-(-n // step), n // 2))
+    stages = inference_stages(model)
     hits = 0
     for x_block, y_block in zip(np.array_split(x, blocks), np.array_split(y, blocks)):
-        logits = model.forward(x_block, training=False)
+        logits = inference_logits(stages, x_block)
         hits += int(np.count_nonzero(np.argmax(logits, axis=1) == y_block))
     return hits / n
 
@@ -344,8 +378,8 @@ def train(model: Mlp, task: SyntheticTask, config: SgdConfig) -> TrainingRecord:
                     sgd_update(model.theta, grad, velocity, lr)
                     losses.append(loss * idx.size)
                     trained += idx.size
-                # epoch metrics over the whole sets, in row blocks; inference
-                # keeps no layer cache
+                # epoch metrics over the whole sets, in row blocks of the folded
+                # net; no layer object runs, so no backward cache changes
                 record.train_loss.append(float(np.sum(losses) / trained))
                 record.train_acc.append(accuracy(model, x_train, y_train))
                 record.test_acc.append(accuracy(model, x_test, y_test))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from l1bn import cli, trainer
-from l1bn.batchnorm import BLOCK_ELEMS, BnMode, bn_backward
+from l1bn.batchnorm import BLOCK_ELEMS, BnMode, bn_backward, bn_forward_infer
 from l1bn.gradcheck import finite_diff, relative_errors
 from l1bn.tensor import Rng
 from l1bn.trainer import (
@@ -22,6 +22,8 @@ from l1bn.trainer import (
     TrainingRecord,
     accuracy,
     forward_backward_step,
+    inference_logits,
+    inference_stages,
     parity_gap,
     run_experiment,
     sgd_update,
@@ -59,6 +61,22 @@ def layer_arrays(layer):
     return [], []
 
 
+def per_layer_logits(model, x):
+    """The inference forward layer by layer, unfolded: ``x @ w`` (``+ b``),
+    ``bn_forward_infer`` with the running statistics, ``np.fmax``."""
+    out = x
+    for layer in model.layers:
+        if isinstance(layer, DenseLayer):
+            out = out @ layer.w
+            if layer.b is not None:
+                out = out + layer.b
+        elif isinstance(layer, BnLayer):
+            out = bn_forward_infer(out, layer.params, layer.state)
+        else:
+            out = np.fmax(out, 0.0)
+    return out
+
+
 class TestLoss:
     def test_uniform_logits_maximum_entropy(self):
         logits = np.zeros((8, 10))
@@ -86,9 +104,8 @@ class TestLayerExpressions:
                             tiny, -tiny, 1e-310, -1e-310, 1.0, -1.0])
         x = Rng(3).normal((3000, 64))
         x.flat[::37] = np.resize(special, x.flat[::37].shape)
-        for training in (True, False):
-            got = ReluLayer().forward(x, training)
-            assert np.array_equal(self.bits(got), self.bits(np.where(x > 0, x, 0.0)))
+        got = ReluLayer().forward(x)
+        assert np.array_equal(self.bits(got), self.bits(np.where(x > 0, x, 0.0)))
 
     @pytest.mark.parametrize("rows,fan_in", [(128, 20), (128, 64), (3000, 64)])
     def test_dense_matches_matmul_plus_bias(self, rows, fan_in):
@@ -96,9 +113,8 @@ class TestLayerExpressions:
         layer = DenseLayer(fresh, rng, fan_in, 64)
         layer.b[:] = rng.normal((64,))
         x = rng.normal((rows, fan_in))
-        for training in (True, False):
-            got = layer.forward(x, training)
-            assert np.array_equal(self.bits(got), self.bits(x @ layer.w + layer.b))
+        got = layer.forward(x)
+        assert np.array_equal(self.bits(got), self.bits(x @ layer.w + layer.b))
 
     def test_softmax_matches_copy_then_divide(self):
         rng = Rng(6)
@@ -116,20 +132,20 @@ class TestLayerExpressions:
         assert loss == ref_loss
         assert np.array_equal(self.bits(d), self.bits(ref_d / n))
 
-    @pytest.mark.parametrize("make,width", [(lambda: DenseLayer(fresh, Rng(7), 5, 4), 5),
-                                            (ReluLayer, 4)])
-    def test_eval_pass_leaves_backward_unchanged(self, make, width):
-        # an inference forward must not replace what the pending backward reads
+    @pytest.mark.parametrize("mode", [BnMode.L2, BnMode.L1, None])
+    def test_accuracy_between_forward_and_backward_leaves_grad(self, mode):
+        # the evaluation runs no layer object, so it cannot replace a cache
+        # that the pending backward reads
+        spec = MlpSpec(in_dim=5, hidden=(8, 6), classes=3, bn_mode=mode, seed=4)
+        plain, interrupted = Mlp(spec), Mlp(spec)
         rng = Rng(8)
-        x = rng.normal((16, width))
-        d_out = rng.normal((16, 4))
-        plain, interrupted = make(), make()
-        plain.forward(x, training=True)
-        interrupted.forward(x, training=True)
-        interrupted.forward(rng.normal((40, width)), training=False)
-        assert np.array_equal(interrupted.backward(d_out), plain.backward(d_out))
-        for a, b in zip(layer_arrays(interrupted)[1], layer_arrays(plain)[1]):
-            assert np.array_equal(a, b)
+        x, d_logits = rng.normal((16, 5)), rng.normal((16, 3))
+        for model in (plain, interrupted):
+            model.forward(x)
+        accuracy(interrupted, rng.normal((40, 5)), np.arange(40) % 3)
+        for model in (plain, interrupted):
+            model.backward(d_logits)
+        assert np.array_equal(self.bits(interrupted.grad), self.bits(plain.grad))
 
 
 def reference_train(model, task, config):
@@ -158,7 +174,7 @@ def reference_train(model, task, config):
         losses = []
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            logits = model.forward(x_train[idx], training=True)
+            logits = model.forward(x_train[idx])
             loss, d = softmax_cross_entropy(logits, y_train[idx])
             grads = []
             for layer in reversed(model.layers):
@@ -322,7 +338,7 @@ class TestForwardBackward:
         def loss_at(theta):
             backup = model.theta.copy()
             model.theta[:] = theta
-            out, _ = softmax_cross_entropy(model.forward(x, training=True), labels)
+            out, _ = softmax_cross_entropy(model.forward(x), labels)
             model.theta[:] = backup
             return out
 
@@ -354,7 +370,7 @@ class TestForwardBackward:
         # nothing reads the gradient with respect to the network input
         model = Mlp(MlpSpec(in_dim=5, hidden=(8, 8), classes=3, bn_mode=mode, seed=1))
         rng = Rng(2)
-        model.forward(rng.normal((16, 5)), training=True)
+        model.forward(rng.normal((16, 5)))
         d, returned = rng.normal((16, 3)), []
         for layer in reversed(model.layers):
             d = layer.backward(d)
@@ -451,7 +467,7 @@ class TestRunExperiment:
         rec = train(model, task, SANITY_CFG)
         assert rec.final_test_acc >= 0.99
         _, _, xte, yte = task.make()
-        a_train = float(np.mean(np.argmax(model.forward(xte, training=True), axis=1) == yte))
+        a_train = float(np.mean(np.argmax(model.forward(xte), axis=1) == yte))
         a_infer = accuracy(model, xte, yte)
         assert abs(a_train - a_infer) <= 0.01
 
@@ -473,8 +489,8 @@ class TestRunExperiment:
 
 
 class TestBlockedAccuracy:
-    """``accuracy`` feeds the net row blocks and sums their hits; its result is
-    the whole-set ``np.mean(argmax == y)``."""
+    """``accuracy`` feeds the folded net row blocks and sums their hits; its result
+    is the whole-set ``np.mean(argmax == y)`` of the per-layer inference forward."""
 
     @pytest.fixture(scope="class")
     def trained(self):
@@ -493,15 +509,15 @@ class TestBlockedAccuracy:
     def test_equals_whole_set_accuracy(self, trained, monkeypatch, block_elems, rows, blocks):
         model, x, y = trained
         x, y = x[:rows], y[:rows]
-        whole = float(np.mean(np.argmax(model.forward(x, training=False), axis=1) == y))
+        whole = float(np.mean(np.argmax(per_layer_logits(model, x), axis=1) == y))
         monkeypatch.setattr(trainer, "BLOCK_ELEMS", block_elems)
-        sizes, forward = [], model.forward
+        sizes, logits_of = [], trainer.inference_logits
 
-        def spy(x_block, training):
+        def spy(stages, x_block):
             sizes.append(len(x_block))
-            return forward(x_block, training)
+            return logits_of(stages, x_block)
 
-        monkeypatch.setattr(model, "forward", spy)
+        monkeypatch.setattr(trainer, "inference_logits", spy)
         result = accuracy(model, x, y)
         assert type(result) is float and result == whole  # a float64 would print otherwise
         assert len(sizes) == blocks and sum(sizes) == rows
@@ -518,6 +534,61 @@ class TestBlockedAccuracy:
         finally:
             tracemalloc.stop()
         assert peak < 4 * BLOCK_ELEMS * 8
+
+
+class TestFoldedInference:
+    """``inference_stages`` folds each BN layer into the dense layer before it;
+    ``inference_logits`` runs the folded net against the per-layer forward."""
+
+    def test_no_bn_logits_bit_identical_to_per_layer(self):
+        # without BN every stage is the layer's own (w, b): the same calls, the same bits
+        model = Mlp(MlpSpec(in_dim=20, hidden=(64, 32, 64), classes=10, bn_mode=None, seed=1))
+        rng = Rng(5)
+        for layer in model.layers:
+            if isinstance(layer, DenseLayer):
+                layer.b[:] = rng.normal(layer.b.shape)
+        stages = inference_stages(model)
+        dense = [layer for layer in model.layers if isinstance(layer, DenseLayer)]
+        assert len(stages) == len(dense) and all(
+            w is layer.w and b is layer.b for (w, b), layer in zip(stages, dense))
+        x = rng.normal((500, 20))
+        got, ref = inference_logits(stages, x), per_layer_logits(model, x)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("mode", list(BnMode))
+    def test_bn_logits_close_to_per_layer_and_same_accuracy(self, mode):
+        # x @ (w·scale) rounds otherwise than (x @ w)·scale, so the bits may move;
+        # on the parity preset after 2 epochs the logits agree normwise to about
+        # 6e-16 and no accuracy moves
+        task, hidden, config = cli._PRESETS["parity"]
+        model = Mlp(MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes, bn_mode=mode))
+        train(model, task, dataclasses.replace(config, epochs=2))
+        x, y, _, _ = task.make()
+        stages = inference_stages(model)
+        assert len(stages) == len(hidden) + 1
+        assert all(b.shape == (w.shape[1],) for w, b in stages)
+        ref = per_layer_logits(model, x)
+        got = inference_logits(stages, x)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert accuracy(model, x, y) == float(np.mean(np.argmax(ref, axis=1) == y))
+
+    @pytest.mark.parametrize("mode", list(BnMode))
+    def test_untrained_bn_net_rejected(self, mode):
+        model = Mlp(MlpSpec(in_dim=5, hidden=(8,), classes=3, bn_mode=mode))
+        with pytest.raises(ValueError, match="^running statistics were never updated$"):
+            accuracy(model, Rng(0).normal((10, 5)), np.zeros(10, dtype=np.int64))
+
+    def test_stages_are_fresh_each_call(self):
+        # SGD updates θ and the running statistics in place: a later call must
+        # see them, so nothing folded is kept between calls
+        model = Mlp(MlpSpec(in_dim=5, hidden=(8,), classes=3, bn_mode=BnMode.L2))
+        model.forward(Rng(1).normal((16, 5)))
+        (w, shift), _ = inference_stages(model)
+        model.theta += 0.5
+        model.layers[1].state.running_mu += 1.0
+        (w2, shift2), _ = inference_stages(model)
+        assert not np.array_equal(w, w2) and not np.array_equal(shift, shift2)
+        assert not np.shares_memory(w2, model.theta)
 
 
 class TestParity:
