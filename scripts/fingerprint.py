@@ -17,10 +17,14 @@ JSON object: a SHA-256 per invocation, per group and overall, and under
 ``invocations_without_manifest`` a second digest of each ``cli`` and ``train``
 invocation that leaves ``manifest.json`` out, for comparing runs whose
 options differ but whose results should not.  No golden digest
-is kept, since matmul bits depend on the BLAS build: compare two checkouts on
-one machine instead.  ``--compare`` reads two saved outputs, runs nothing,
-prints one line per invocation removed, added or whose digest differs (with
-the manifest, then without it) and exits 1 when it printed any.
+is kept, since matmul bits depend on the BLAS build and on the BLAS kernel it
+picks for the CPU: compare two checkouts on one machine instead.  The output
+names that kernel under ``blas_core`` (OpenBLAS's core name, e.g.
+``SkylakeX``, or ``unknown``); it enters no digest.  ``--compare`` reads two
+saved outputs, runs nothing, prints a line first if they name different BLAS
+cores, then one line per invocation removed, added or whose digest differs
+(with the manifest, then without it), and exits 1 when it printed any
+invocation line.
 
     PYTHONPATH=src python3 scripts/fingerprint.py [--workdir DIR] > head.json
     PYTHONPATH=src python3 scripts/fingerprint.py --compare base.json head.json
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import importlib
 import io
@@ -271,6 +276,27 @@ def kernel_arrays(shape, mode: BnMode, affine: bool, nan: bool) -> list[np.ndarr
     return arrays + [state.running_mu, state.running_sigma, bn_forward_infer(x, params, state)]
 
 
+def blas_core() -> str:
+    """The core name of the OpenBLAS that numpy loaded, read from its
+    ``scipy_openblas_get_corename64_``; ``unknown`` when no mapped library has it."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            # address, perms, offset, device, inode, then the mapped file's path
+            paths = sorted({line.split(maxsplit=5)[-1].strip()
+                            for line in fh if "openblas" in line})
+    except OSError:
+        return "unknown"
+    for path in paths:
+        try:
+            corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        except OSError:
+            continue
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def fingerprint(workdir: Path) -> dict:
     """Run every group in ``workdir`` and return the digests."""
     workdir.mkdir(parents=True, exist_ok=True)
@@ -301,6 +327,7 @@ def fingerprint(workdir: Path) -> dict:
     result = {group: _digest(*(s.encode() for item in digests.items() for s in item))
               for group, digests in groups.items()}
     result["overall"] = _digest(*(result[g].encode() for g in groups))
+    result["blas_core"] = blas_core()
     result["invocations"] = groups
     result["invocations_without_manifest"] = without_manifest
     return result
@@ -333,7 +360,11 @@ def main(argv=None) -> int:
                            "disagree on, and exit 1 if there is one")
     args = parser.parse_args(argv)
     if args.compare is not None:
-        lines = compare(*(json.loads(path.read_text(encoding="utf-8")) for path in args.compare))
+        base, head = (json.loads(path.read_text(encoding="utf-8")) for path in args.compare)
+        cores = base.get("blas_core"), head.get("blas_core")
+        if None not in cores and cores[0] != cores[1]:
+            print(f"blas core: {cores[0]} -> {cores[1]}; matmul bits may differ")
+        lines = compare(base, head)
         for line in lines:
             print(line)
         return int(bool(lines))

@@ -20,6 +20,7 @@ from l1bn.batchnorm import (
     bn_backward_l2,
     bn_forward_infer,
     bn_forward_train,
+    inference_scale_shift,
     l1_batch_stats,
     l2_batch_stats,
     rows,
@@ -428,6 +429,38 @@ class TestSharedBackward:
             assert np.all(got.d_gamma == 0) and np.all(got.d_beta == 0)
 
 
+class TestBackwardEquivalence:
+    """The √(π/2) equivalence holds for the forward, not for the backward.  Both
+    backwards subtract μ(g) and a σ-path term ∝ μ(g·x̂), which L2 takes along x̂
+    and L1c along k·sgn x̂ (k = √(π/2)).  For Gaussian x, ‖x̂ − k·sgn x̂‖²/n →
+    π/2 − 1, so with ρ the correlation of d_y with x̂ the input gradients differ
+    by ρ·√(π/2 − 1)/√(1 − ρ²) relative, whatever the batch size.  Plain L1 is
+    left out: its x̂ is k times L1c's by design."""
+
+    @staticmethod
+    def gradient_gap(rho, seed):
+        rng = Rng(seed)
+        x, z = rng.normal((4096, 64)), rng.normal((4096, 64))
+        l2, l1c = BnParams.init(64, BnMode.L2), BnParams.init(64, BnMode.L1_COMPENSATED)
+        (_, cache_l2), (_, cache_l1c) = bn_forward_train(x, l2), bn_forward_train(x, l1c)
+        d_y = rho * cache_l2.x_hat + math.sqrt(1.0 - rho * rho) * z
+        d_l2 = bn_backward(d_y, cache_l2, l2).d_input
+        d_l1c = bn_backward(d_y, cache_l1c, l1c).d_input
+        return np.linalg.norm(d_l1c - d_l2) / np.linalg.norm(d_l2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    def test_gap_follows_the_correlation(self, rho, seed):
+        # seeds 0-2 read 0.435-0.439 (predicted 0.436) and 1.556-1.567 (1.560)
+        predicted = rho * math.sqrt(math.pi / 2.0 - 1.0) / math.sqrt(1.0 - rho * rho)
+        assert abs(self.gradient_gap(rho, seed) / predicted - 1.0) <= 0.02
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_uncorrelated_gap_is_the_mads_noise(self, seed):
+        # 0.011-0.012 on seeds 0-2: the sampling noise of the MAD against the std
+        assert self.gradient_gap(0.0, seed) < 0.03
+
+
 class TestDegenerateInputs:
     """The constant-channel and tie policies of ``bn_backward``'s docstring and the
     NaN policy of ``update_running_stats``'s."""
@@ -676,6 +709,17 @@ class TestInference:
                              for i in range(10)])
         assert np.array_equal(batched, singles)
 
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_infer_is_the_folded_pair(self, mode):
+        # the trainer's evaluation folds this pair into the dense weights
+        rng = Rng(9)
+        params = BnParams(gamma=rng.uniform((3,), 0.5, 1.5),
+                          beta=rng.uniform((3,), -0.5, 0.5), mode=mode)
+        state = self._trained_state(params)
+        x = rng.normal((32, 3))
+        scale, shift = inference_scale_shift(params, state)
+        assert np.array_equal(bn_forward_infer(x, params, state), x * scale + shift)
+
     def test_uninitialized_state_rejected(self):
         params = BnParams.init(3)
         with pytest.raises(ValueError, match="never updated"):
@@ -685,6 +729,14 @@ class TestInference:
         state = BnState(running_mu=np.zeros(2), running_sigma=np.ones(2), updates=1)
         with pytest.raises(ValueError, match="state feature count"):
             bn_forward_infer(Rng(0).normal((4, 3)), BnParams.init(3), state)
+
+    def test_fold_checks_the_state(self):
+        # the checks bn_forward_infer makes after its input check are the fold's
+        with pytest.raises(ValueError, match="^running statistics were never updated$"):
+            inference_scale_shift(BnParams.init(3), BnState.init(3))
+        state = BnState(running_mu=np.zeros(2), running_sigma=np.ones(2), updates=1)
+        with pytest.raises(ValueError, match="^state feature count does not match params$"):
+            inference_scale_shift(BnParams.init(3), state)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_infer_close_to_train_mode_on_stationary_stream(self, mode):

@@ -73,8 +73,9 @@ def test_fingerprint_same_digests_in_a_fresh_and_a_reused_directory(tmp_path):
     reused = fingerprint.fingerprint(workdir)  # every output is already there
     assert reused == fresh
     invocations = fresh["invocations"]
-    assert set(fresh) == {"cli", "train", "kernel", "overall", "invocations",
+    assert set(fresh) == {"cli", "train", "kernel", "overall", "blas_core", "invocations",
                           "invocations_without_manifest"}
+    assert fresh["blas_core"] == fingerprint.blas_core() != ""
     # a digest that hashed nothing would repeat across cases with different outputs
     for group in ("train", "kernel"):
         digests = list(invocations[group].values())
@@ -119,3 +120,41 @@ def test_fingerprint_compare_names_each_changed_and_removed_invocation(tmp_path,
     assert capsys.readouterr().out.splitlines() == [
         'cli: added: "ratio --n 5000"', 'cli: differs: "cost --arch sample.arch"',
         'train without manifest: differs: "train --epochs 2"']
+
+
+def test_fingerprint_compare_names_differing_blas_cores(tmp_path, capsys):
+    # the BLAS core is a note: equal digests still exit 0; an output that names
+    # no core (an older one) is not compared on it
+    fingerprint = load_fingerprint()
+    digests = {"invocations": {"train": {"train": "b0"}},
+               "invocations_without_manifest": {"train": {"train": "e0"}}}
+    paths = {}
+    for name, core in (("a", {"blas_core": "SkylakeX"}), ("b", {"blas_core": "Prescott"}),
+                       ("c", {})):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({**core, **digests}), encoding="utf-8")
+    assert fingerprint.main(["--compare", str(paths["a"]), str(paths["b"])]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "blas core: SkylakeX -> Prescott; matmul bits may differ"]
+    for other in ("a", "c"):
+        assert fingerprint.main(["--compare", str(paths["a"]), str(paths[other])]) == 0
+        assert capsys.readouterr() == ("", "")
+
+
+def test_train_bytes_equal_under_one_and_two_blas_threads(tmp_path):
+    # the determinism contract covers the BLAS thread count: only the kernel
+    # OpenBLAS picks for the CPU moves matmul bits
+    outputs = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from l1bn.cli import main; sys.exit(main())",
+             "train", "--preset", "parity", "--runs", "1", "--epochs", "2", "--outdir", "out"],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = (proc.stdout, {p.name: p.read_bytes()
+                                          for p in sorted((cwd / "out").iterdir())})
+    assert outputs["1"] == outputs["2"]
+    assert {"manifest.json", "summary.json", "l2_seed1234.csv"} <= set(outputs["1"][1])
