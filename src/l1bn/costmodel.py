@@ -18,9 +18,11 @@ Each appearance of a square/abs/sign/root counts once per element per step;
 values cached and reused are not recounted.  Inference applies one multiply-add
 per element, so its per-element count of these four ops is zero.  Its fold of
 the running statistics and γ/β into one (scale, shift) pair is a per-feature
-term, counted like the training root: ``bn_forward_infer`` rebuilds it on every
-call, which for L2 is c squares and c roots (sqrt(σ²+ε)) and for L1 none.  The
-fold is not cached, since SGD updates γ and β in place.
+term, counted like the training root: ``inference_scale_shift`` builds it, with
+c squares and c roots (sqrt(σ²+ε)) for L2 and none for L1.  ``bn_forward_infer``
+folds on each call; the trainer's ``accuracy`` folds once per call, into the
+weights of the dense layer before each BN layer.  Neither keeps the pair, since
+SGD updates γ, β and the running statistics in place.
 
 Per-op weights default to measured FPGA costs, time and power per op.  The
 root is a per-feature term, B times rarer than the per-element ops, so reports
