@@ -3,8 +3,8 @@
 Three groups of work run in-process, from a fresh temporary directory unless
 ``--workdir`` names one (a directory used before is rewritten in place):
 
-- ``cli``: every subcommand's valid runs and error cases, usage errors
-  included, on copies of ``scripts/*.arch`` and on small files written here;
+- ``cli``: every subcommand's valid runs, then each failing run of
+  ``ERROR_RUNS``, in a directory that ``prepare`` fills with input files;
 - ``train``: both presets at ``--runs 1 --epochs 2``, one run over every mode
   and one run that fails its parity gate;
 - ``kernel``: forward, both backwards, running statistics and inference for
@@ -24,10 +24,11 @@ names that kernel under ``blas_core`` (OpenBLAS's core name, e.g.
 saved outputs, runs nothing, prints a line first if they name different BLAS
 cores, then one line per invocation removed, added or whose digest differs
 (with the manifest, then without it), and exits 1 when it printed any
-invocation line.
+invocation line.  Run as a script, it imports the ``l1bn`` of the checkout it
+sits in, whatever ``PYTHONPATH`` names.
 
-    PYTHONPATH=src python3 scripts/fingerprint.py [--workdir DIR] > head.json
-    PYTHONPATH=src python3 scripts/fingerprint.py --compare base.json head.json
+    python3 scripts/fingerprint.py [--workdir DIR] > head.json
+    python3 scripts/fingerprint.py --compare base.json head.json
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ from pathlib import Path
 
 import numpy as np
 
+SCRIPTS = Path(__file__).resolve().parent
+if __name__ == "__main__":  # hash this checkout's library, not one found earlier on the path
+    sys.path.insert(0, str(SCRIPTS.parent / "src"))
+
 from l1bn.batchnorm import (
     BnMode,
     BnParams,
@@ -62,7 +67,6 @@ from l1bn.batchnorm import (
 from l1bn import cli
 from l1bn.tensor import Rng
 
-SCRIPTS = Path(__file__).resolve().parent
 ARCH_FILES = ("sample.arch", "deep_cnn.arch", "mlp.arch")
 
 
@@ -83,7 +87,7 @@ _workloads = _perfbench_workloads()
 GRAD_CASES, GAUSSIAN_PAIRS = _workloads.GRAD_CASES, _workloads.GAUSSIAN_PAIRS
 _shape_args = _workloads._shape_args
 
-# Input files the error cases read, written into the work directory.
+# Input files the failing runs read, written into the work directory by prepare().
 INPUT_FILES = {
     "empty.arch": b"# no layers here\n",
     "short.arch": b"fc1 256 1 1\n",
@@ -106,18 +110,154 @@ INPUT_FILES = {
     "not_utf8.json": b'{"sign": \xff}',
     "zero_time.json": b'{"sign": {"time_ns": 0}, "abs": {"time_ns": 0}}',
     "zero_power.json": b'{"square": {"power_uw": 0}}',
+    # json.load alone would keep only the last value of a repeated key
     "repeated_op.json": b'{"square": {"time_ns": 6.0}, "square": {"time_ns": 9.0}}',
     "repeated_field.json": b'{"square": {"time_ns": 6.0, "time_ns": 9.0}}',
     # integer dimensions whose weighted totals pass float64's 1.8e308
     "inf_power.arch": f"fc {2 * 10**307} 1 1 1\n".encode(),
     "inf_time.arch": f"fc {10**154} 1 1 {10**154}\n".encode(),
     "huge_count.arch": f"fc {10**400} 1 1 1\n".encode(),
+    # an integer weight is finite whatever its size; its totals overflow instead
     "huge_weight.json": f'{{"sign": {{"time_ns": {10**400}}}}}'.encode(),
 }
 
+NON_FINITE = "ratio: channel 0 has a non-finite deviation; its ratio is undefined"
+
+# Every failing CLI run, as (argv joined by spaces, exit code, last stderr line),
+# the line None where argparse words the message itself.  Exit 1 writes that
+# one line and nothing else; neither code leaves an output directory.
+ERROR_RUNS = [
+    ("gradcheck --m 1", 1, "gradcheck: pooled count must be at least 4 for a meaningful check"),
+    ("ratio --channel-map --sigma 0", 1,
+     "ratio: channel 0 has zero deviation; its ratio is undefined"),
+    ("ratio --mu inf", 1, NON_FINITE),
+    ("ratio --mu nan", 1, NON_FINITE),
+    ("ratio --sigma inf", 1, NON_FINITE),
+    ("ratio --channel-map --mu nan", 1, NON_FINITE),
+    ("ratio --n 50", 1, "ratio: pooled count 50 < 100; ratios would be noise"),
+    ("ratio --sigma 0", 1, "ratio: channel 0 has zero deviation; its ratio is undefined"),
+    # 711 PiB is beyond any 64-bit user address space, so the allocation fails
+    # at once; a size that could be allocated must never be tried here
+    ("ratio --n 100000000000000000", 1,
+     "ratio: Unable to allocate 711. PiB for an array with shape (100000000000000000, 1) "
+     "and data type float64"),
+    ("cost --arch missing.arch", 1, "cost: [Errno 2] No such file or directory: 'missing.arch'"),
+    ("cost --arch sample.arch --costs missing.json", 1,
+     "cost: [Errno 2] No such file or directory: 'missing.json'"),
+    ("cost --arch sample.arch --costs root_costs.json", 1,
+     "cost: root_costs.json: root weights are read only with --include-root"),
+    ("cost --arch empty.arch", 1, "cost: empty.arch: no layers"),
+    ("cost --arch short.arch", 1, "cost: short.arch:1: expected `name m h w c`, got 4 fields"),
+    ("cost --arch nonint.arch", 1,
+     "cost: nonint.arch:1: non-integer dimension: invalid literal for int() with base 10: 'x'"),
+    ("cost --arch zero.arch", 1,
+     "cost: zero.arch:1: layer 'fc1': all dimensions must be positive"),
+    ("cost --arch moded.arch", 1, "cost: moded.arch:1: expected `name m h w c`, got 6 fields"),
+    ("cost --arch latin1.arch", 1,
+     "cost: latin1.arch: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+     "invalid continuation byte"),
+    ("cost --arch inf_power.arch", 1, "cost: L2 total power_uw overflows float64"),
+    ("cost --arch inf_time.arch", 1, "cost: L2 total time_ns overflows float64"),
+    ("cost --arch huge_count.arch", 1, "cost: L2 total time_ns overflows float64"),
+    ("cost --arch sample.arch --costs typo_op.json", 1,
+     "cost: typo_op.json: unknown op 'sqaure' (expected sign, abs, square, root)"),
+    ("cost --arch sample.arch --costs list.json", 1,
+     "cost: list.json: expected a JSON object of per-op overrides, got a list"),
+    ("cost --arch sample.arch --costs bogus_field.json", 1,
+     "cost: bogus_field.json: sign: unknown field 'bogus' (expected time_ns, power_uw)"),
+    ("cost --arch sample.arch --costs old_field.json", 1,
+     "cost: old_field.json: sign: unknown field 'registers' (expected time_ns, power_uw)"),
+    ("cost --arch sample.arch --costs string.json", 1,
+     "cost: string.json: sign.time_ns: expected a finite nonnegative number, got 'x'"),
+    ("cost --arch sample.arch --costs bool.json", 1,
+     "cost: bool.json: sign.time_ns: expected a finite nonnegative number, got True"),
+    ("cost --arch sample.arch --costs nan.json", 1,
+     "cost: nan.json: sign.time_ns: expected a finite nonnegative number, got nan"),
+    ("cost --arch sample.arch --costs negative.json", 1,
+     "cost: negative.json: sign.time_ns: expected a finite nonnegative number, got -1"),
+    ("cost --arch sample.arch --costs not_object.json", 1,
+     "cost: not_object.json: sign: expected an object of fields, got 3"),
+    ("cost --arch sample.arch --costs not_json.json", 1,
+     "cost: not_json.json: Expecting ',' delimiter: line 2 column 1 (char 24)"),
+    ("cost --arch sample.arch --costs not_utf8.json", 1,
+     "cost: not_utf8.json: 'utf-8' codec can't decode byte 0xff in position 9: "
+     "invalid start byte"),
+    ("cost --arch sample.arch --costs zero_time.json", 1,
+     "cost: L1 total time_ns is 0, so the L2/L1 time ratio is undefined"),
+    ("cost --arch sample.arch --costs zero_power.json", 1,
+     "cost: L2 total power_uw is 0, so the power saving is undefined"),
+    ("cost --arch sample.arch --costs repeated_op.json", 1,
+     "cost: repeated_op.json: repeated key 'square'"),
+    ("cost --arch sample.arch --costs repeated_field.json", 1,
+     "cost: repeated_field.json: repeated key 'time_ns'"),
+    ("cost --arch sample.arch --costs huge_weight.json", 1,
+     "cost: L1 total time_ns overflows float64"),
+    ("", 2, None),
+    ("frobnicate", 2, None),
+    ("gradcheck --bogus", 2, None),
+    ("gradcheck --modes l3", 2,
+     "l1bn gradcheck: error: argument --modes: unknown value 'l3' (choose from l2,l1,l1c)"),
+    ("gradcheck --modes l1,,l2", 2,
+     "l1bn gradcheck: error: argument --modes: unknown value '' (choose from l2,l1,l1c)"),
+    ("gradcheck --modes l2,l2", 2,
+     "l1bn gradcheck: error: argument --modes: repeated value in 'l2,l2'"),
+    ("gradcheck --layouts 3d", 2,
+     "l1bn gradcheck: error: argument --layouts: unknown value '3d' (choose from 2d,4d)"),
+    ("gradcheck --layouts 2d,3d", 2,
+     "l1bn gradcheck: error: argument --layouts: unknown value '3d' (choose from 2d,4d)"),
+    ("gradcheck --layouts 2d,4d,2d", 2,
+     "l1bn gradcheck: error: argument --layouts: repeated value in '2d,4d,2d'"),
+    ("gradcheck --m 0", 2, "l1bn gradcheck: error: argument --m: must be at least 1, got 0"),
+    ("gradcheck --d 0", 2, "l1bn gradcheck: error: argument --d: must be at least 1, got 0"),
+    ("gradcheck --layouts 4d --height 0", 2,
+     "l1bn gradcheck: error: argument --height: must be at least 1, got 0"),
+    ("gradcheck --layouts 4d --width -1", 2,
+     "l1bn gradcheck: error: argument --width: must be at least 1, got -1"),
+    ("gradcheck --layouts 4d --channels 0", 2,
+     "l1bn gradcheck: error: argument --channels: must be at least 1, got 0"),
+    ("gradcheck --layouts 4d --d 4", 2,
+     "l1bn gradcheck: error: argument --d: read only by --layouts 2d"),
+    ("gradcheck --height 4", 2,
+     "l1bn gradcheck: error: argument --height: read only by --layouts 4d"),
+    ("ratio --n 0", 2, "l1bn ratio: error: argument --n: must be at least 1, got 0"),
+    ("ratio --channel-map --m 0", 2, "l1bn ratio: error: argument --m: must be at least 1, got 0"),
+    ("ratio --channel-map --channels 0", 2,
+     "l1bn ratio: error: argument --channels: must be at least 1, got 0"),
+    ("ratio --dist uniform --mu 1", 2,
+     "l1bn ratio: error: argument --mu: not read by --dist uniform"),
+    ("ratio --dist uniform --sigma 2", 2,
+     "l1bn ratio: error: argument --sigma: not read by --dist uniform"),
+    ("ratio --channel-map --n 1000", 2,
+     "l1bn ratio: error: argument --n: not read by --channel-map"),
+    ("ratio --channels 4", 2,
+     "l1bn ratio: error: argument --channels: read only by --channel-map"),
+    ("train --modes l3", 2,
+     "l1bn train: error: argument --modes: unknown value 'l3' (choose from l2,l1,l1c,none)"),
+    ("train --modes l2,l1,l2", 2,
+     "l1bn train: error: argument --modes: repeated value in 'l2,l1,l2'"),
+    ("train --runs 0", 2, "l1bn train: error: argument --runs: must be at least 1, got 0"),
+    ("train --preset parity --runs 0", 2,
+     "l1bn train: error: argument --runs: must be at least 1, got 0"),
+    ("train --preset parity --runs -1", 2,
+     "l1bn train: error: argument --runs: must be at least 1, got -1"),
+    ("train --epochs 0", 2, "l1bn train: error: argument --epochs: must be at least 1, got 0"),
+    ("train --epochs -1", 2, "l1bn train: error: argument --epochs: must be at least 1, got -1"),
+    ("train --seed -1 --runs 1 --epochs 1", 2,
+     "l1bn train: error: argument --seed: must be at least 0, got -1"),
+    ("ratio --seed -1", 2, "l1bn ratio: error: argument --seed: must be at least 0, got -1"),
+    ("gradcheck --seed -1", 2,
+     "l1bn gradcheck: error: argument --seed: must be at least 0, got -1"),
+    # the pass/fail bounds and the finite-difference step are constants, not options
+    ("gradcheck --threshold 1e-5", 2, None),
+    ("gradcheck --step 1e-6", 2, None),
+    ("ratio --band 0.01", 2, None),
+    ("train --parity-tolerance-pp 2", 2, None),
+    ("cost", 2, None),
+]
+
 
 def cli_invocations() -> list[list[str]]:
-    """Every argv of the ``cli`` group, valid runs first, then the failing ones."""
+    """Every argv of the ``cli`` group: the valid runs, then those of ``ERROR_RUNS``."""
     runs = [["gradcheck", "--modes", "l2,l1,l1c", *_shape_args(shape), "--seed", str(seed)]
             for shape, seed in GRAD_CASES]
     runs += [["ratio", f"--mu={mu}", f"--sigma={sigma}", "--seed", str(i)]
@@ -143,58 +283,7 @@ def cli_invocations() -> list[list[str]]:
         ["cost", "--arch", "sample.arch", "--costs", "costs.json", "--include-root"],
         ["cost", "--arch", "sample.arch", "--costs", "root_costs.json", "--include-root"],
     ]
-    # exit 1: one line on stderr, no output directory
-    runs += [
-        ["gradcheck", "--m", "1"],
-        ["ratio", "--channel-map", "--sigma", "0"],
-        ["ratio", "--mu", "inf"],
-        ["ratio", "--mu", "nan"],
-        ["ratio", "--sigma", "inf"],
-        ["ratio", "--channel-map", "--mu", "nan"],
-        ["ratio", "--n", "50"],
-        ["ratio", "--sigma", "0"],
-        # 711 PiB: beyond any 64-bit user address space, so the allocation fails at once
-        ["ratio", "--n", "100000000000000000"],
-        ["cost", "--arch", "missing.arch"],
-        ["cost", "--arch", "sample.arch", "--costs", "missing.json"],
-        ["cost", "--arch", "sample.arch", "--costs", "root_costs.json"],
-    ]
-    runs += [["cost", "--arch", name] for name in INPUT_FILES if name.endswith(".arch")]
-    runs += [["cost", "--arch", "sample.arch", "--costs", name]
-             for name in INPUT_FILES if name.endswith(".json")
-             and name not in ("costs.json", "root_costs.json")]
-    # exit 2: usage errors
-    runs += [
-        [],
-        ["frobnicate"],
-        ["gradcheck", "--bogus"],
-        ["gradcheck", "--modes", "l3"],
-        ["gradcheck", "--modes", "l1,,l2"],
-        ["gradcheck", "--modes", "l2,l2"],
-        ["gradcheck", "--layouts", "2d,3d"],
-        ["gradcheck", "--m", "0"],
-        ["gradcheck", "--layouts", "4d", "--d", "4"],
-        ["gradcheck", "--height", "4"],
-        ["ratio", "--n", "0"],
-        ["ratio", "--dist", "uniform", "--mu", "1"],
-        ["ratio", "--dist", "uniform", "--sigma", "2"],
-        ["ratio", "--channel-map", "--n", "1000"],
-        ["ratio", "--channels", "4"],
-        ["train", "--modes", "l3"],
-        ["train", "--modes", "l2,l1,l2"],
-        ["train", "--runs", "0"],
-        ["train", "--epochs", "0"],
-        ["train", "--seed", "-1", "--runs", "1", "--epochs", "1"],
-        ["ratio", "--seed", "-1"],
-        ["gradcheck", "--seed", "-1"],
-        # the pass/fail bounds and the finite-difference step are constants, not options
-        ["gradcheck", "--threshold", "1e-5"],
-        ["gradcheck", "--step", "1e-6"],
-        ["ratio", "--band", "0.01"],
-        ["train", "--parity-tolerance-pp", "2"],
-        ["cost"],
-    ]
-    return runs
+    return runs + [argv.split() for argv, _, _ in ERROR_RUNS]
 
 
 TRAIN_INVOCATIONS = [
@@ -297,13 +386,18 @@ def blas_core() -> str:
     return "unknown"
 
 
-def fingerprint(workdir: Path) -> dict:
-    """Run every group in ``workdir`` and return the digests."""
+def prepare(workdir: Path) -> None:
+    """Copy ``ARCH_FILES`` into ``workdir`` and write ``INPUT_FILES`` there."""
     workdir.mkdir(parents=True, exist_ok=True)
     for name in ARCH_FILES:
         shutil.copyfile(SCRIPTS / name, workdir / name)
     for name, data in INPUT_FILES.items():
         (workdir / name).write_bytes(data)
+
+
+def fingerprint(workdir: Path) -> dict:
+    """Run every group in ``workdir`` and return the digests."""
+    prepare(workdir)
     groups: dict[str, dict[str, str]] = {"cli": {}, "train": {}, "kernel": {}}
     without_manifest: dict[str, dict[str, str]] = {"cli": {}, "train": {}}
     cwd = os.getcwd()

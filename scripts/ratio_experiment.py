@@ -11,9 +11,13 @@ Usage: python3 scripts/ratio_experiment.py [--outdir DIR]
 
 import argparse
 import csv
+import sys
 from pathlib import Path
 
 import numpy as np
+
+if __name__ == "__main__":  # this checkout's library, not one found earlier on the path
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from l1bn.batchnorm import BnMode, bn_forward_infer
 from l1bn.ratio import channelwise_ratio_map

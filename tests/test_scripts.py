@@ -17,12 +17,19 @@ from l1bn.costmodel import parse_architecture
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def decoy_env(tmp_path):
+    """An environment whose PYTHONPATH names an ``l1bn`` that raises on import."""
+    package = tmp_path / "decoy" / "l1bn"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('raise ImportError("decoy l1bn")\n', encoding="utf-8")
+    return {**os.environ, "PYTHONPATH": str(package.parent)}
+
+
 def test_ratio_experiment_writes_its_files(tmp_path):
     outdir = tmp_path / "ratio"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ratio_experiment.py"), "--outdir", str(outdir)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        cwd=tmp_path, env=decoy_env(tmp_path), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in outdir.iterdir()) == [f"mlp_layer{i}.csv" for i in range(3)]
     for i in range(3):
@@ -66,8 +73,32 @@ def load_fingerprint():
     return fingerprint
 
 
+fingerprint = load_fingerprint()
+
+
+def test_fingerprint_imports_the_checkout_it_sits_in(tmp_path):
+    # run as a script it puts its own src ahead of another checkout's or an
+    # installed copy; loaded as a module it leaves sys.path as it found it
+    (tmp_path / "a.json").write_text('{"invocations": {}, "invocations_without_manifest": {}}')
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "fingerprint.py"), "--compare", "a.json",
+         "a.json"], cwd=tmp_path, env=decoy_env(tmp_path), capture_output=True, text=True,
+        timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+    path = list(sys.path)
+    load_fingerprint()
+    assert sys.path == path
+
+
+def test_fingerprint_invocations_are_distinct_and_read_every_input_file():
+    # digests are keyed by the joined argv, so a repeated argv would drop a run
+    invocations = fingerprint.cli_invocations() + fingerprint.TRAIN_INVOCATIONS
+    names = [" ".join(argv) for argv in invocations]
+    assert len(set(names)) == len(names)
+    assert set(fingerprint.INPUT_FILES) <= {arg for argv in invocations for arg in argv}
+
+
 def test_fingerprint_same_digests_in_a_fresh_and_a_reused_directory(tmp_path):
-    fingerprint = load_fingerprint()
     workdir = tmp_path / "work"
     fresh = fingerprint.fingerprint(workdir)
     reused = fingerprint.fingerprint(workdir)  # every output is already there
@@ -90,7 +121,6 @@ def test_fingerprint_same_digests_in_a_fresh_and_a_reused_directory(tmp_path):
 
 
 def test_fingerprint_compare_names_each_changed_and_removed_invocation(tmp_path, capsys):
-    fingerprint = load_fingerprint()
     # the shape of a saved output, with one digest per invocation
     base = {"invocations": {"cli": {"": "a0", "cost --arch sample.arch": "a1",
                                     "ratio --n 5000": "a2"},
@@ -125,7 +155,6 @@ def test_fingerprint_compare_names_each_changed_and_removed_invocation(tmp_path,
 def test_fingerprint_compare_names_differing_blas_cores(tmp_path, capsys):
     # the BLAS core is a note: equal digests still exit 0; an output that names
     # no core (an older one) is not compared on it
-    fingerprint = load_fingerprint()
     digests = {"invocations": {"train": {"train": "b0"}},
                "invocations_without_manifest": {"train": {"train": "e0"}}}
     paths = {}

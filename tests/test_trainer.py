@@ -593,7 +593,8 @@ class TestFoldedInference:
 
 class TestParity:
     def test_modes_reach_similar_accuracy(self):
-        # scaled-down parity probe; the acceptance suite runs the full one
+        # the full 18-epoch parity preset on seeds 0-1: four of the runs that
+        # criterion 7 makes, under a looser bound than its 2 pp over seeds 0-4
         task = SyntheticTask(classes=10, dim=20, train_per_class=300,
                              test_per_class=100, center_scale=1.0, spread=1.3)
         template = MlpSpec(in_dim=20, hidden=(64,) * 5, classes=10)
