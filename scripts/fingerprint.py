@@ -3,8 +3,10 @@
 Three groups of work run in-process, from a fresh temporary directory unless
 ``--workdir`` names one (a directory used before is rewritten in place):
 
-- ``cli``: every subcommand's valid runs, then each failing run of
-  ``ERROR_RUNS``, in a directory that ``prepare`` fills with input files;
+- ``cli``: every subcommand's valid runs, every option case of
+  ``OPTION_CASES`` with its default run (both default ``ratio`` streams among
+  them), then each failing run of ``ERROR_RUNS``, in a directory that
+  ``prepare`` fills with input files;
 - ``train``: both presets at ``--runs 1 --epochs 2``, one run over every mode
   and one run that fails its parity gate;
 - ``kernel``: forward, both backwards, running statistics and inference for
@@ -87,7 +89,8 @@ _workloads = _perfbench_workloads()
 GRAD_CASES, GAUSSIAN_PAIRS = _workloads.GRAD_CASES, _workloads.GAUSSIAN_PAIRS
 _shape_args = _workloads._shape_args
 
-# Input files the failing runs read, written into the work directory by prepare().
+# Input files the option cases and failing runs read, written into the work
+# directory by prepare().
 INPUT_FILES = {
     "empty.arch": b"# no layers here\n",
     "short.arch": b"fc1 256 1 1\n",
@@ -113,6 +116,11 @@ INPUT_FILES = {
     # json.load alone would keep only the last value of a repeated key
     "repeated_op.json": b'{"square": {"time_ns": 6.0}, "square": {"time_ns": 9.0}}',
     "repeated_field.json": b'{"square": {"time_ns": 6.0, "time_ns": 9.0}}',
+    "square_registers.json": b'{"square": {"registers": 1}}',
+    "root_dsp_blocks.json": b'{"root": {"dsp_blocks": 1}}',
+    # one weight of one op moved from its default
+    **{f"{op}_{field}.json": json.dumps({op: {field: 0.5}}).encode()
+       for op in ("sign", "abs", "square", "root") for field in ("time_ns", "power_uw")},
     # integer dimensions whose weighted totals pass float64's 1.8e308
     "inf_power.arch": f"fc {2 * 10**307} 1 1 1\n".encode(),
     "inf_time.arch": f"fc {10**154} 1 1 {10**154}\n".encode(),
@@ -120,6 +128,53 @@ INPUT_FILES = {
     # an integer weight is finite whatever its size; its totals overflow instead
     "huge_weight.json": f'{{"sign": {{"time_ns": {10**400}}}}}'.encode(),
 }
+
+RATIO, UNIFORM = "ratio --n 1000", "ratio --dist uniform --n 1000"
+MAP = "ratio --channel-map --m 128 --channels 3"
+GC_2D, GC_4D = "gradcheck --modes l1", "gradcheck --modes l1 --layouts 4d"
+COST, COST_ROOT = "cost --arch sample.arch", "cost --arch sample.arch --include-root"
+TRAIN_L1C = "train --modes l1c --runs 1 --epochs 1"
+
+# Every option's case, as (default argv, added arguments), each joined by
+# spaces.  The default run exits 0 with an empty stderr; with the arguments
+# added it writes the same file names and changes a byte other than the
+# manifest's, which echoes every option.
+OPTION_CASES = [
+    ("ratio", "--channel-map"),
+    ("ratio", "--dist uniform"),
+    (RATIO, "--n 2000"),
+    (RATIO, "--mu 100"),  # a shift moves only rounding bits
+    (RATIO, "--sigma 2"),
+    (RATIO, "--seed 5"),
+    (RATIO, "--dist uniform"),
+    (UNIFORM, "--n 2000"),
+    (UNIFORM, "--seed 5"),
+    (MAP, "--m 144"),
+    (MAP, "--channels 2"),
+    (MAP, "--mu 100"),
+    (MAP, "--sigma 2"),
+    (MAP, "--seed 5"),
+    (MAP, "--dist uniform"),
+    (f"{MAP} --dist uniform", "--m 144"),
+    (GC_2D, "--m 5"),
+    (GC_2D, "--d 2"),
+    (GC_2D, "--modes l2"),
+    (GC_2D, "--layouts 4d"),
+    (GC_2D, "--seed 5"),
+    (GC_4D, "--m 5"),
+    (GC_4D, "--height 2"),
+    (GC_4D, "--width 2"),
+    (GC_4D, "--channels 3"),
+    (f"{GC_2D} --layouts 2d,4d", "--d 2"),
+    (f"{GC_2D} --layouts 2d,4d", "--height 2"),
+    (COST, "--arch mlp.arch"),
+    (COST, "--include-root"),
+    *[(COST, f"--costs {op}_{field}.json")
+      for op in ("sign", "abs", "square") for field in ("time_ns", "power_uw")],
+    *[(COST_ROOT, f"--costs root_{field}.json") for field in ("time_ns", "power_uw")],
+    (TRAIN_L1C, "--epochs 2"),
+    (TRAIN_L1C, "--preset parity"),
+]
 
 NON_FINITE = "ratio: channel 0 has a non-finite deviation; its ratio is undefined"
 
@@ -192,6 +247,11 @@ ERROR_RUNS = [
      "cost: repeated_field.json: repeated key 'time_ns'"),
     ("cost --arch sample.arch --costs huge_weight.json", 1,
      "cost: L1 total time_ns overflows float64"),
+    ("cost --arch sample.arch --costs square_registers.json", 1,
+     "cost: square_registers.json: square: unknown field 'registers' "
+     "(expected time_ns, power_uw)"),
+    ("cost --arch sample.arch --costs root_dsp_blocks.json", 1,
+     "cost: root_dsp_blocks.json: root: unknown field 'dsp_blocks' (expected time_ns, power_uw)"),
     ("", 2, None),
     ("frobnicate", 2, None),
     ("gradcheck --bogus", 2, None),
@@ -219,6 +279,10 @@ ERROR_RUNS = [
      "l1bn gradcheck: error: argument --d: read only by --layouts 2d"),
     ("gradcheck --height 4", 2,
      "l1bn gradcheck: error: argument --height: read only by --layouts 4d"),
+    ("gradcheck --modes l1 --width 2", 2,
+     "l1bn gradcheck: error: argument --width: read only by --layouts 4d"),
+    ("gradcheck --modes l1 --channels 3", 2,
+     "l1bn gradcheck: error: argument --channels: read only by --layouts 4d"),
     ("ratio --n 0", 2, "l1bn ratio: error: argument --n: must be at least 1, got 0"),
     ("ratio --channel-map --m 0", 2, "l1bn ratio: error: argument --m: must be at least 1, got 0"),
     ("ratio --channel-map --channels 0", 2,
@@ -231,6 +295,7 @@ ERROR_RUNS = [
      "l1bn ratio: error: argument --n: not read by --channel-map"),
     ("ratio --channels 4", 2,
      "l1bn ratio: error: argument --channels: read only by --channel-map"),
+    ("ratio --n 1000 --m 4", 2, "l1bn ratio: error: argument --m: read only by --channel-map"),
     ("train --modes l3", 2,
      "l1bn train: error: argument --modes: unknown value 'l3' (choose from l2,l1,l1c,none)"),
     ("train --modes l2,l1,l2", 2,
@@ -257,7 +322,8 @@ ERROR_RUNS = [
 
 
 def cli_invocations() -> list[list[str]]:
-    """Every argv of the ``cli`` group: the valid runs, then those of ``ERROR_RUNS``."""
+    """Every argv of the ``cli`` group once: the valid runs, each default run and
+    each case of ``OPTION_CASES``, then those of ``ERROR_RUNS``."""
     runs = [["gradcheck", "--modes", "l2,l1,l1c", *_shape_args(shape), "--seed", str(seed)]
             for shape, seed in GRAD_CASES]
     runs += [["ratio", f"--mu={mu}", f"--sigma={sigma}", "--seed", str(i)]
@@ -267,7 +333,8 @@ def cli_invocations() -> list[list[str]]:
         ["ratio", "--channel-map", "--seed", "6"],
         ["ratio", "--channel-map", "--dist", "uniform", "--channels", "4"],
         ["ratio", "--n", "5000"],
-        # the stream is the one-channel map: the same bytes as the default stream
+        # the stream is the one-channel map: apart from the manifest, the same
+        # bytes as the default streams `ratio` and `ratio --dist uniform`
         ["ratio", "--channel-map", "--m", "100000", "--channels", "1"],
         ["ratio", "--channel-map", "--dist", "uniform", "--m", "100000", "--channels", "1"],
         ["gradcheck"],
@@ -283,7 +350,10 @@ def cli_invocations() -> list[list[str]]:
         ["cost", "--arch", "sample.arch", "--costs", "costs.json", "--include-root"],
         ["cost", "--arch", "sample.arch", "--costs", "root_costs.json", "--include-root"],
     ]
-    return runs + [argv.split() for argv, _, _ in ERROR_RUNS]
+    argvs = [" ".join(argv) for argv in runs]
+    argvs += [argv for base, added in OPTION_CASES for argv in (base, f"{base} {added}")]
+    argvs += [argv for argv, _, _ in ERROR_RUNS]
+    return [argv.split() for argv in dict.fromkeys(argvs)]
 
 
 TRAIN_INVOCATIONS = [

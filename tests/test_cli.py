@@ -25,24 +25,6 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
-def run_twice_compare(argv_factory, tmp_path, files):
-    """Run a subcommand into two directories; outputs must be byte-identical
-    and the manifests identical apart from the recorded output path."""
-    dirs = []
-    for tag in ("a", "b"):
-        outdir = tmp_path / tag
-        assert main(argv_factory(str(outdir))) == 0
-        dirs.append(outdir)
-    for name in files:
-        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
-    manifests = []
-    for d in dirs:
-        manifest = read_json(d / "manifest.json")
-        manifest["options"].pop("outdir")
-        manifests.append(manifest)
-    assert manifests[0] == manifests[1]
-
-
 class TestGradcheckCommand:
     def test_default_run_three_reports_exit_zero(self, tmp_path, capsys):
         outdir = tmp_path / "gc"
@@ -96,12 +78,6 @@ class TestGradcheckCommand:
         assert manifest["options"]["modes"] == "l2,l1,l1c"
         assert manifest["command"] == "gradcheck"
         assert manifest["version"]
-
-    def test_outputs_bit_identical_across_runs(self, tmp_path):
-        run_twice_compare(
-            lambda d: ["gradcheck", "--outdir", d], tmp_path,
-            ["reports.json"],
-        )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_probe_names_slot_and_index(self, tmp_path, capsys, monkeypatch):
@@ -167,26 +143,6 @@ class TestRatioCommand:
         assert summary["num_features"] == 6
         csv_lines = (outdir / "ratios.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 7
-
-    def test_outputs_bit_identical_across_runs(self, tmp_path):
-        run_twice_compare(
-            lambda d: ["ratio", "--n", "5000", "--outdir", d], tmp_path,
-            ["ratios.csv", "summary.json"],
-        )
-
-    @pytest.mark.parametrize("dist", [["--mu=-3", "--sigma", "2"], ["--dist", "uniform"]],
-                             ids=["gaussian", "uniform"])
-    def test_stream_is_the_one_channel_map(self, tmp_path, capsys, dist):
-        runs = {"stream": ["--n", "5000"],
-                "map": ["--channel-map", "--m", "5000", "--channels", "1"]}
-        written = {}
-        for name, source in runs.items():
-            outdir = tmp_path / name
-            assert main(["ratio", *dist, *source, "--outdir", str(outdir)]) == 0
-            snap = snapshot(outdir)
-            del snap["manifest.json"]
-            written[name] = (snap, capsys.readouterr().out)
-        assert written["stream"] == written["map"]
 
 
 class TestTrainCommand:
@@ -291,9 +247,18 @@ class TestTrainCommand:
         (["--preset", "parity", "--runs", "1", "--epochs", "1"], (1234,)),
     ], ids=["sanity", "parity"])
     def test_outputs_bit_identical_across_runs(self, tmp_path, argv, seeds):
-        names = [f"{m}_seed{seed}.csv" for m in ("l2", "l1") for seed in seeds]
-        run_twice_compare(lambda d: ["train", *argv, "--outdir", d], tmp_path,
-                          names + ["summary.json"])
+        # no argv here is hashed, so the fingerprint's rerun does not cover it;
+        # the manifests differ only in the recorded output path
+        runs = []
+        for outdir in (tmp_path / "a", tmp_path / "b"):
+            assert main(["train", *argv, "--outdir", str(outdir)]) == 0
+            files = snapshot(outdir)
+            manifest = json.loads(files.pop("manifest.json"))
+            manifest["options"].pop("outdir")
+            runs.append((files, manifest))
+        assert runs[0] == runs[1]
+        assert sorted(runs[0][0]) == sorted(
+            [f"{m}_seed{seed}.csv" for m in ("l2", "l1") for seed in seeds] + ["summary.json"])
 
 
 class TestCostCommand:
@@ -500,19 +465,26 @@ class TestOutputFiles:
         assert csv_bytes == (here / "layers.csv").read_bytes()
 
 
-# scripts/fingerprint.py holds the one table of failing runs, ERROR_RUNS
+# scripts/fingerprint.py holds the one table of option cases, OPTION_CASES, and
+# the one table of failing runs, ERROR_RUNS
 _spec = importlib.util.spec_from_file_location("fingerprint", ROOT / "scripts" / "fingerprint.py")
 fingerprint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(fingerprint)
 
 
-@pytest.mark.parametrize("argv, code, line", fingerprint.ERROR_RUNS,
-                         ids=[argv or "no-command" for argv, _, _ in fingerprint.ERROR_RUNS])
-def test_error_run(tmp_path, capsys, monkeypatch, argv, code, line):
-    # exit 1 writes exactly its one stderr line, with no warning before it; a
-    # usage error ends in its line where the table gives one; neither writes output
+@pytest.fixture
+def prepared(tmp_path, monkeypatch):
+    """A working directory holding the fingerprint's input files."""
     fingerprint.prepare(tmp_path)
     monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, code, line", fingerprint.ERROR_RUNS,
+                         ids=[argv or "no-command" for argv, _, _ in fingerprint.ERROR_RUNS])
+def test_error_run(prepared, capsys, argv, code, line):
+    # exit 1 writes exactly its one stderr line, with no warning before it; a
+    # usage error ends in its line where the table gives one; neither writes output
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -522,7 +494,7 @@ def test_error_run(tmp_path, capsys, monkeypatch, argv, code, line):
     out, err = capsys.readouterr()
     assert result == code
     assert out == ""
-    assert not (tmp_path / "out").exists()
+    assert not (prepared / "out").exists()
     if code == 1:
         assert err.splitlines() == [line]
         assert caught == []
@@ -568,74 +540,7 @@ class TestUsage:
         assert manifests[0] == manifests[1]
 
 
-RATIO = ["ratio", "--n", "1000"]
-UNIFORM = ["ratio", "--dist", "uniform", "--n", "1000"]
-MAP = ["ratio", "--channel-map", "--m", "128", "--channels", "3"]
-UNIFORM_MAP = MAP + ["--dist", "uniform"]
-GC_2D = ["gradcheck", "--modes", "l1"]
-GC_4D = GC_2D + ["--layouts", "4d"]
-GC_BOTH = GC_2D + ["--layouts", "2d,4d"]
-COST = ["cost", "--arch", "{sample}"]
-COST_ROOT = COST + ["--include-root"]
-TRAIN_L1C = ["train", "--modes", "l1c", "--runs", "1", "--epochs", "1"]
-CHANGED = None
-
-# (default run, added arguments, CHANGED or the text its rejection must carry)
-INPUT_CASES = [
-    (RATIO, ["--n", "2000"], CHANGED),
-    (RATIO, ["--mu", "100"], CHANGED),  # a shift moves only rounding bits
-    (RATIO, ["--sigma", "2"], CHANGED),
-    (RATIO, ["--seed", "5"], CHANGED),
-    (RATIO, ["--dist", "uniform"], CHANGED),
-    (RATIO, ["--channel-map"], "argument --n: not read by --channel-map"),
-    (RATIO, ["--m", "4"], "argument --m: read only by --channel-map"),
-    (RATIO, ["--channels", "3"], "argument --channels: read only by --channel-map"),
-    (UNIFORM, ["--n", "2000"], CHANGED),
-    (UNIFORM, ["--seed", "5"], CHANGED),
-    (UNIFORM, ["--mu", "1"], "argument --mu: not read by --dist uniform"),
-    (UNIFORM, ["--sigma", "2"], "argument --sigma: not read by --dist uniform"),
-    (MAP, ["--m", "144"], CHANGED),
-    (MAP, ["--channels", "2"], CHANGED),
-    (MAP, ["--mu", "100"], CHANGED),
-    (MAP, ["--sigma", "2"], CHANGED),
-    (MAP, ["--seed", "5"], CHANGED),
-    (MAP, ["--dist", "uniform"], CHANGED),
-    (MAP, ["--n", "2000"], "argument --n: not read by --channel-map"),
-    (UNIFORM_MAP, ["--m", "144"], CHANGED),
-    (UNIFORM_MAP, ["--mu", "1"], "argument --mu: not read by --dist uniform"),
-    (UNIFORM_MAP, ["--sigma", "2"], "argument --sigma: not read by --dist uniform"),
-    (GC_2D, ["--m", "5"], CHANGED),
-    (GC_2D, ["--d", "2"], CHANGED),
-    (GC_2D, ["--modes", "l2"], CHANGED),
-    (GC_2D, ["--layouts", "4d"], CHANGED),
-    (GC_2D, ["--seed", "5"], CHANGED),
-    (GC_2D, ["--height", "2"], "argument --height: read only by --layouts 4d"),
-    (GC_2D, ["--width", "2"], "argument --width: read only by --layouts 4d"),
-    (GC_2D, ["--channels", "3"], "argument --channels: read only by --layouts 4d"),
-    (GC_4D, ["--m", "5"], CHANGED),
-    (GC_4D, ["--height", "2"], CHANGED),
-    (GC_4D, ["--width", "2"], CHANGED),
-    (GC_4D, ["--channels", "3"], CHANGED),
-    (GC_4D, ["--d", "2"], "argument --d: read only by --layouts 2d"),
-    (GC_BOTH, ["--d", "2"], CHANGED),
-    (GC_BOTH, ["--height", "2"], CHANGED),
-    (COST, ["--arch", "{mlp}"], CHANGED),
-    (COST, ["--include-root"], CHANGED),
-    *[(COST, ["--costs", {op: {field: 0.5}}], CHANGED)
-      for op in ("sign", "abs", "square") for field in ("time_ns", "power_uw")],
-    *[(COST_ROOT, ["--costs", {"root": {field: 0.5}}], CHANGED)
-      for field in ("time_ns", "power_uw")],
-    (COST, ["--costs", {"square": {"registers": 1}}], "unknown field 'registers'"),
-    (COST, ["--costs", {"root": {"dsp_blocks": 1}}], "unknown field 'dsp_blocks'"),
-    *[(COST, ["--costs", {"root": {field: 14.0}}],
-       "{costs}: root weights are read only with --include-root")
-      for field in ("time_ns", "power_uw")],
-    (COST, ["--arch", "{moded}"], "{moded}:2: expected `name m h w c`, got 6 fields"),
-    (TRAIN_L1C, ["--epochs", "2"], CHANGED),
-    (TRAIN_L1C, ["--preset", "parity"], CHANGED),
-]
-
-# (command, option) pairs with no INPUT_CASES entry, and why
+# (command, option) pairs with no OPTION_CASES entry, and why
 UNCASED_OPTIONS = {
     ("train", "--seed"): "renames the CSVs, so no output file pairs with the default run's",
     ("train", "--runs"): "adds or drops CSVs, so no output file pairs with the default run's",
@@ -643,22 +548,13 @@ UNCASED_OPTIONS = {
 }
 
 
-def case_id(case):
-    base, extra, _ = case
-    words = [" ".join(f"{op}.{field}={value}" for op, fields in a.items()
-                      for field, value in fields.items()) if isinstance(a, dict) else a
-             for a in base + extra]
-    return " ".join(words).replace("{", "").replace("}", "")
-
-
 class TestEveryInputIsRead:
-    """Each option either changes an output byte of its default run (the
-    manifest aside, which echoes every option) or is rejected by a message that
-    names the option, field or line."""
+    """Each option changes an output byte of its default run, the manifest
+    aside; ``ERROR_RUNS`` holds the runs that reject one."""
 
     def test_every_option_has_a_case(self):
-        cased = {(base[0], arg.split("=")[0]) for base, extra, _ in INPUT_CASES
-                 for arg in extra if isinstance(arg, str) and arg.startswith("--")}
+        cased = {(base.split()[0], arg.split("=")[0]) for base, added in fingerprint.OPTION_CASES
+                 for arg in added.split() if arg.startswith("--")}
         commands = next(a for a in build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction)).choices
         defined = {(command, option) for command, p in commands.items()
@@ -667,41 +563,14 @@ class TestEveryInputIsRead:
         assert defined - cased == set(UNCASED_OPTIONS)
         assert cased <= defined
 
-    def run(self, argv, outdir, capsys):
-        try:
-            code = main(argv + ["--outdir", str(outdir)])
-        except SystemExit as exc:
-            code = exc.code
-        return code, capsys.readouterr().err
-
-    @pytest.mark.parametrize("base, extra, rejection", INPUT_CASES,
-                             ids=[case_id(c) for c in INPUT_CASES])
-    def test_option_changes_output_or_is_rejected(self, tmp_path, capsys, base, extra,
-                                                  rejection):
-        paths = {"sample": SAMPLE_ARCH,
-                 "mlp": str(Path(SAMPLE_ARCH).with_name("mlp.arch")),
-                 "moded": write_arch(tmp_path, "moded.arch",
-                                     ["fc1 16 1 1 4", "conv1 32 8 8 16 l2"])}
-        costs = tmp_path / "costs.json"
-        paths["costs"] = str(costs)
-        argv = []
-        for arg in base + extra:
-            if isinstance(arg, dict):
-                costs.write_text(json.dumps(arg))
-                arg = str(costs)
-            argv.append(arg.format(**paths))
-        default, changed = tmp_path / "default", tmp_path / "changed"
-        assert self.run([a.format(**paths) for a in base], default, capsys) == (0, "")
-        code, err = self.run(argv, changed, capsys)
-        if rejection is CHANGED:
-            assert code == 0, err
-            outputs = [snapshot(d) for d in (default, changed)]
-            for snap in outputs:
-                del snap["manifest.json"]
-            assert outputs[0].keys() == outputs[1].keys()
-            assert outputs[0] != outputs[1]
-        else:
-            assert code in (1, 2)
-            assert rejection.format(**paths) in err
-            assert len(err.splitlines()) == 1
-            assert not changed.exists()
+    @pytest.mark.parametrize("base, added", fingerprint.OPTION_CASES,
+                             ids=[f"{base} {added}" for base, added in fingerprint.OPTION_CASES])
+    def test_option_changes_output(self, prepared, capsys, base, added):
+        outputs = []
+        for argv, outdir in ((base, "default"), (f"{base} {added}", "changed")):
+            assert main(argv.split() + ["--outdir", outdir]) == 0
+            assert capsys.readouterr().err == ""
+            outputs.append(snapshot(prepared / outdir))
+            del outputs[-1]["manifest.json"]
+        assert outputs[0].keys() == outputs[1].keys()
+        assert outputs[0] != outputs[1]

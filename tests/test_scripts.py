@@ -98,9 +98,16 @@ def test_fingerprint_invocations_are_distinct_and_read_every_input_file():
     assert set(fingerprint.INPUT_FILES) <= {arg for argv in invocations for arg in argv}
 
 
-def test_fingerprint_same_digests_in_a_fresh_and_a_reused_directory(tmp_path):
-    workdir = tmp_path / "work"
-    fresh = fingerprint.fingerprint(workdir)
+@pytest.fixture(scope="module")
+def fingerprinted(tmp_path_factory):
+    """A work directory and the fingerprint of a first run in it."""
+    workdir = tmp_path_factory.mktemp("fingerprint") / "work"
+    return workdir, fingerprint.fingerprint(workdir)
+
+
+def test_fingerprint_same_digests_in_a_fresh_and_a_reused_directory(fingerprinted):
+    # every hashed run, each option case among them, gives the same bytes twice
+    workdir, fresh = fingerprinted
     reused = fingerprint.fingerprint(workdir)  # every output is already there
     assert reused == fresh
     invocations = fresh["invocations"]
@@ -118,6 +125,15 @@ def test_fingerprint_same_digests_in_a_fresh_and_a_reused_directory(tmp_path):
         for i, (name, digest) in enumerate(without.items()):
             wrote = (workdir / "out" / f"{group}{i:03d}" / "manifest.json").exists()
             assert (digest != invocations[group][name]) == wrote, name
+
+
+def test_fingerprint_stream_is_the_one_channel_map(fingerprinted):
+    # the manifest aside, a default stream writes and prints what its
+    # one-channel map does
+    without = fingerprinted[1]["invocations_without_manifest"]["cli"]
+    for dist in ("", " --dist uniform"):
+        assert (without[f"ratio{dist}"]
+                == without[f"ratio --channel-map{dist} --m 100000 --channels 1"]), dist
 
 
 def test_fingerprint_compare_names_each_changed_and_removed_invocation(tmp_path, capsys):

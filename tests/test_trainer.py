@@ -595,12 +595,9 @@ class TestParity:
     def test_modes_reach_similar_accuracy(self):
         # the full 18-epoch parity preset on seeds 0-1: four of the runs that
         # criterion 7 makes, under a looser bound than its 2 pp over seeds 0-4
-        task = SyntheticTask(classes=10, dim=20, train_per_class=300,
-                             test_per_class=100, center_scale=1.0, spread=1.3)
-        template = MlpSpec(in_dim=20, hidden=(64,) * 5, classes=10)
-        cfg = SgdConfig(learning_rate=0.1, epochs=18, batch_size=128,
-                        lr_decay_epochs=(12, 16))
-        summary = parity_gap(task, template, cfg, seeds=(0, 1))
+        task, hidden, config = cli._PRESETS["parity"]
+        summary = parity_gap(task, MlpSpec(in_dim=task.dim, hidden=hidden, classes=task.classes),
+                             config, seeds=(0, 1))
         assert summary["gap_pp"] <= 3.0
         assert min(summary["acc_l2"] + summary["acc_l1"]) >= 0.7
         for mode, records in summary["records"].items():
