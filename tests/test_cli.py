@@ -547,21 +547,36 @@ UNCASED_OPTIONS = {
     ("train", "--modes"): "renames the CSVs, so no output file pairs with the default run's",
 }
 
+# each OPTION_CASES entry under the (command, option) pairs its added arguments set
+CASES_BY_OPTION = {}
+for _base, _added in fingerprint.OPTION_CASES:
+    for _arg in _added.split():
+        if _arg.startswith("--"):
+            CASES_BY_OPTION.setdefault((_base.split()[0], _arg.split("=")[0]), []).append(
+                f"{_base} {_added}")
+
+_COMMANDS = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+DEFINED_OPTIONS = [(command, option) for command, p in _COMMANDS.items()
+                   for action in p._actions for option in action.option_strings
+                   if option not in ("-h", "--help", "--outdir")]
+
 
 class TestEveryInputIsRead:
     """Each option changes an output byte of its default run, the manifest
     aside; ``ERROR_RUNS`` holds the runs that reject one."""
 
-    def test_every_option_has_a_case(self):
-        cased = {(base.split()[0], arg.split("=")[0]) for base, added in fingerprint.OPTION_CASES
-                 for arg in added.split() if arg.startswith("--")}
-        commands = next(a for a in build_parser()._actions
-                        if isinstance(a, argparse._SubParsersAction)).choices
-        defined = {(command, option) for command, p in commands.items()
-                   for action in p._actions for option in action.option_strings
-                   if option not in ("-h", "--help", "--outdir")}
-        assert defined - cased == set(UNCASED_OPTIONS)
-        assert cased <= defined
+    @pytest.mark.parametrize("command, option", DEFINED_OPTIONS,
+                             ids=[" ".join(pair) for pair in DEFINED_OPTIONS])
+    def test_every_option_has_a_case(self, command, option):
+        # a hashed case, or a reason in UNCASED_OPTIONS, but not both
+        cases = CASES_BY_OPTION.get((command, option), [])
+        assert bool(cases) != ((command, option) in UNCASED_OPTIONS)
+        hashed = {" ".join(argv) for argv in fingerprint.cli_invocations()}
+        assert set(cases) <= hashed
+
+    def test_cases_and_reasons_name_only_defined_options(self):
+        assert set(CASES_BY_OPTION) | set(UNCASED_OPTIONS) <= set(DEFINED_OPTIONS)
 
     @pytest.mark.parametrize("base, added", fingerprint.OPTION_CASES,
                              ids=[f"{base} {added}" for base, added in fingerprint.OPTION_CASES])

@@ -127,13 +127,13 @@ def test_fingerprint_same_digests_in_a_fresh_and_a_reused_directory(fingerprinte
             assert (digest != invocations[group][name]) == wrote, name
 
 
-def test_fingerprint_stream_is_the_one_channel_map(fingerprinted):
+@pytest.mark.parametrize("dist", ["", " --dist uniform"], ids=["gaussian", "uniform"])
+def test_fingerprint_stream_is_the_one_channel_map(fingerprinted, dist):
     # the manifest aside, a default stream writes and prints what its
     # one-channel map does
     without = fingerprinted[1]["invocations_without_manifest"]["cli"]
-    for dist in ("", " --dist uniform"):
-        assert (without[f"ratio{dist}"]
-                == without[f"ratio --channel-map{dist} --m 100000 --channels 1"]), dist
+    assert (without[f"ratio{dist}"]
+            == without[f"ratio --channel-map{dist} --m 100000 --channels 1"])
 
 
 def test_fingerprint_compare_names_each_changed_and_removed_invocation(tmp_path, capsys):
