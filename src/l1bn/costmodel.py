@@ -203,12 +203,10 @@ class CostProfile:
         return round(self.power_saving_pct / 10.0) * 10.0
 
     def to_dict(self) -> dict:
-        """The profile's fields and its two percentages; each layer is its
-        ``LayerShape``'s fields and then its other ``LayerCost`` fields."""
-        layers = [{**vars(lc.shape), **vars(lc)} for lc in self.layers]
-        for layer in layers:
-            del layer["shape"]
-        return {**vars(self), "layers": layers, "power_saving_pct": self.power_saving_pct,
+        """The profile's fields but ``layers``, and its two percentages; the
+        per-layer figures are the rows of the CLI's ``layers.csv``."""
+        fields = {k: v for k, v in vars(self).items() if k != "layers"}
+        return {**fields, "power_saving_pct": self.power_saving_pct,
                 "power_saving_pct_round10": self.power_saving_pct_round10}
 
 

@@ -4,8 +4,8 @@ For Gaussian data the standard deviation exceeds the mean absolute deviation
 by exactly sqrt(π/2) ≈ 1.2533 (the absolute deviation of a centered Gaussian
 is half-normal with mean σ·sqrt(2/π)).  ``channelwise_ratio_map`` measures the
 empirical ratio per feature/channel of a (rows, channels) map, or of a 4-D
-tensor pooled over m·h·w, and reports histograms of both deviations; one
-stream of n samples is the (n, 1) map.  The ratio is location- and scale-free,
+tensor pooled over m·h·w, with both deviations behind each ratio; one stream
+of n samples is the (n, 1) map.  The ratio is location- and scale-free,
 so any affine transform of the input leaves it unchanged.
 """
 
@@ -18,25 +18,7 @@ import numpy as np
 from .batchnorm import GAUSSIAN_STD_OVER_MAD, BnMode, batch_deviation, rows
 from .tensor import Rng
 
-HISTOGRAM_BINS = 50
 BAND_HALF_WIDTH = 0.01  # |mean ratio - sqrt(π/2)| that counts as Gaussian
-
-
-@dataclass
-class Histogram:
-    """Counts over log10-spaced bins (equivalently, linear bins in log10 σ)."""
-
-    counts: list[int]
-    bin_edges_log10: list[float]
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> "Histogram":
-        counts, edges = np.histogram(np.log10(values), bins=HISTOGRAM_BINS)
-        return cls(counts=[int(c) for c in counts],
-                   bin_edges_log10=[float(e) for e in edges])
-
-    def to_dict(self) -> dict:
-        return {"counts": list(self.counts), "bin_edges_log10": list(self.bin_edges_log10)}
 
 
 @dataclass
@@ -50,8 +32,6 @@ class RatioReport:
     gaussian_gap: float          # mean_ratio - sqrt(π/2)
     in_gaussian_band: bool       # |gaussian_gap| <= BAND_HALF_WIDTH
     sample_count: int            # pooled samples behind each deviation
-    hist_l2: Histogram
-    hist_l1: Histogram
 
     def rows(self) -> list[tuple[int, float, float, float]]:
         return [
@@ -68,9 +48,6 @@ class RatioReport:
             "band_half_width": BAND_HALF_WIDTH,
             "sample_count": self.sample_count,
             "num_features": int(self.ratios.shape[0]),
-            "ratios": [float(r) for r in self.ratios],
-            "hist_l2": self.hist_l2.to_dict(),
-            "hist_l1": self.hist_l1.to_dict(),
         }
 
 
@@ -112,6 +89,4 @@ def channelwise_ratio_map(x: np.ndarray) -> RatioReport:
         gaussian_gap=gap,
         in_gaussian_band=bool(abs(gap) <= BAND_HALF_WIDTH),
         sample_count=pooled,
-        hist_l2=Histogram.of(sigma_l2),
-        hist_l1=Histogram.of(sigma_l1),
     )

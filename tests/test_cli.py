@@ -17,8 +17,10 @@ import pytest
 
 from l1bn import cli, gradcheck
 from l1bn.cli import build_parser, main
-from l1bn.costmodel import CostProfile, LayerCost, LayerShape, parse_architecture
+from l1bn.costmodel import CostProfile, model_report, parse_architecture
 from l1bn.gradcheck import GradReport, ParamCheck
+from l1bn.ratio import channelwise_ratio_map
+from l1bn.tensor import Rng
 
 
 def read_json(path):
@@ -141,8 +143,15 @@ class TestRatioCommand:
                      "--outdir", str(outdir)]) == 0
         summary = read_json(outdir / "summary.json")
         assert summary["num_features"] == 6
-        csv_lines = (outdir / "ratios.csv").read_text().strip().splitlines()
-        assert len(csv_lines) == 7
+        d = cli.RATIO_DEFAULTS
+        report = channelwise_ratio_map(
+            Rng(cli.DEFAULT_SEED).normal((d["m"], 6), d["mu"], d["sigma"]))
+        assert summary["mean_ratio"] == report.mean_ratio
+        with open(outdir / "ratios.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["channel", "sigma_l2", "sigma_l1", "ratio"]
+        assert rows[1:] == [[str(v) for v in row] for row in report.rows()]
+        assert len(rows) == 7
 
 
 class TestTrainCommand:
@@ -275,8 +284,17 @@ class TestCostCommand:
         assert totals["power_saving_pct_round10"] == 50.0
         out = capsys.readouterr().out
         assert "1.50x" in out and "46.7%" in out and "~50%" in out
-        csv_lines = (outdir / "layers.csv").read_text().strip().splitlines()
-        assert len(csv_lines) == 3
+        profile = model_report(parse_architecture(arch))
+        with open(outdir / "layers.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["name", "m", "h", "w", "c", "sign_l1", "abs_l1", "square_l2",
+                           "root_l2", "time_l2_ns", "time_l1_ns", "power_l2_uw", "power_l1_uw"]
+        assert rows[1:] == [[str(v) for v in (
+            *vars(lc.shape).values(),
+            lc.counts_l1["sign"], lc.counts_l1["abs"], lc.counts_l2["square"],
+            lc.counts_l2["root"], lc.weighted_l2["time_ns"], lc.weighted_l1["time_ns"],
+            lc.weighted_l2["power_uw"], lc.weighted_l1["power_uw"])] for lc in profile.layers]
+        assert len(rows) == 3
 
     def test_include_root_changes_totals(self, tmp_path):
         arch = tmp_path / "net.arch"
@@ -331,7 +349,8 @@ def shrinking_runs(tmp_path):
     short_arch = write_arch(tmp_path, "one.arch", ["fc1 16 1 1 4"])
     return {
         "gradcheck": (["gradcheck", "--modes", "l2,l1,l1c"], ["gradcheck", "--modes", "l2"]),
-        "ratio": (["ratio", "--channel-map", "--channels", "16"],
+        # summary.json holds scalars only: the longer map's counts lengthen it
+        "ratio": (["ratio", "--channel-map", "--channels", "16", "--m", "100000"],
                   ["ratio", "--channel-map", "--channels", "3"]),
         "cost": (["cost", "--arch", long_arch], ["cost", "--arch", short_arch]),
     }
@@ -401,11 +420,13 @@ class TestOutputFiles:
                 assert set(report[slot]) == names(ParamCheck)
         assert main(["cost", "--arch", SAMPLE_ARCH, "--outdir", str(tmp_path / "cost")]) == 0
         totals = read_json(tmp_path / "cost" / "totals.json")
-        assert set(totals) == names(CostProfile) | {
+        # the per-layer figures are the rows of layers.csv only
+        assert set(totals) == names(CostProfile) - {"layers"} | {
             "schema_version", "power_saving_pct", "power_saving_pct_round10"}
-        assert len(totals["layers"]) == len(parse_architecture(SAMPLE_ARCH))
-        for layer in totals["layers"]:
-            assert set(layer) == names(LayerShape) | names(LayerCost) - {"shape"}
+        assert main(["ratio", "--outdir", str(tmp_path / "ratio")]) == 0
+        assert set(read_json(tmp_path / "ratio" / "summary.json")) == {
+            "schema_version", "mean_ratio", "gaussian_constant", "gaussian_gap",
+            "in_gaussian_band", "band_half_width", "sample_count", "num_features"}
 
     def test_file_modes_match_open_for_writing(self, tmp_path):
         outdir = tmp_path / "cost"

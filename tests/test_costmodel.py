@@ -195,9 +195,11 @@ class TestModelReport:
         assert OpCosts.from_json(override, include_root=False).sign.time_ns == 2.0
 
     def test_profile_serializes(self):
-        payload = model_report(self.TOY).to_dict()
+        profile = model_report(self.TOY)
+        payload = profile.to_dict()
         assert payload["time_ratio_l2_over_l1"] == 1.5
-        assert len(payload["layers"]) == 2
+        assert len(profile.layers) == 2
+        assert "layers" not in payload
 
 
 class TestArchitectureFile:
