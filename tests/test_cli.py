@@ -378,6 +378,61 @@ print(json.dumps(opened))
 """
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {name: [row[k] for row in rows] for k, name in enumerate(header)}
+
+
+class TestJsonIsOverTheCsvRows:
+    """The JSON's figures are over the rows of the CSV, the only copy of those rows."""
+
+    @pytest.mark.parametrize("argv", [["ratio"], ["ratio", "--dist", "uniform"],
+                                      ["ratio", "--channel-map"]], ids=" ".join)
+    def test_ratio_summary(self, tmp_path, argv):
+        assert main(argv + ["--outdir", str(tmp_path)]) == 0
+        summary = read_json(tmp_path / "summary.json")
+        columns = read_csv(tmp_path / "ratios.csv")
+        assert columns["channel"] == [str(k) for k in range(summary["num_features"])]
+        sigma_l2, sigma_l1, ratios = (np.array(columns[name], dtype=np.float64)
+                                      for name in ("sigma_l2", "sigma_l1", "ratio"))
+        # a float's str round-trips, so the CSV's values are the report's bit for bit
+        assert np.array_equal(ratios, sigma_l2 / sigma_l1)
+        assert summary["mean_ratio"] == float(np.mean(ratios))
+        assert summary["gaussian_gap"] == summary["mean_ratio"] - summary["gaussian_constant"]
+        assert summary["in_gaussian_band"] == (
+            abs(summary["gaussian_gap"]) <= summary["band_half_width"])
+
+    @pytest.mark.parametrize("arch", ["sample.arch", "deep_cnn.arch", "mlp.arch"])
+    def test_cost_totals(self, tmp_path, arch):
+        assert main(["cost", "--arch", str(ROOT / "scripts" / arch),
+                     "--outdir", str(tmp_path)]) == 0
+        totals = read_json(tmp_path / "totals.json")
+        columns = read_csv(tmp_path / "layers.csv")
+        assert columns["name"] == [s.name for s in parse_architecture(ROOT / "scripts" / arch)]
+
+        def column_sum(name, kind):
+            return sum(kind(v) for v in columns[name])
+
+        # the counts are integers: each total is exactly its column's sum
+        assert totals["counts_l1"] == {"sign": column_sum("sign_l1", int),
+                                       "abs": column_sum("abs_l1", int),
+                                       "square": 0, "root": 0}
+        assert totals["counts_l2"] == {"sign": 0, "abs": 0,
+                                       "square": column_sum("square_l2", int),
+                                       "root": column_sum("root_l2", int)}
+        # the weighted totals weigh the summed counts, so they match up to rounding
+        for norm in ("l2", "l1"):
+            for field, column in (("time_ns", f"time_{norm}_ns"),
+                                  ("power_uw", f"power_{norm}_uw")):
+                assert totals[f"totals_{norm}"][field] == pytest.approx(
+                    column_sum(column, float), rel=1e-12, abs=0)
+        assert totals["time_ratio_l2_over_l1"] == (
+            totals["totals_l2"]["time_ns"] / totals["totals_l1"]["time_ns"])
+        assert totals["power_saving_fraction"] == (
+            1.0 - totals["totals_l1"]["power_uw"] / totals["totals_l2"]["power_uw"])
+
+
 class TestOutputFiles:
     """Outputs are rewritten in place: same bytes as a fresh write, no truncating open."""
 
