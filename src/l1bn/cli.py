@@ -210,8 +210,8 @@ def cmd_train(args) -> Outputs:
 
 def cmd_cost(args) -> Outputs:
     layers = parse_architecture(args.arch)
-    costs = (OpCosts.from_json(args.costs, include_root=args.include_root) if args.costs
-             else OpCosts())
+    costs = (OpCosts.from_json(args.costs, include_root=args.include_root)
+             if args.costs is not None else OpCosts())
     profile = model_report(layers, costs, include_root=args.include_root)
     files = {"layers.csv": _csv(
         ["name", "m", "h", "w", "c",

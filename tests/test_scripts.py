@@ -196,7 +196,7 @@ def test_train_bytes_equal_under_one_and_two_blas_threads(tmp_path):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from l1bn.cli import main; sys.exit(main())",
-             "train", "--preset", "parity", "--runs", "1", "--epochs", "2", "--outdir", "out"],
+             "train", "--preset", "parity", "--runs", "1", "--epochs", "1", "--outdir", "out"],
             cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs[threads] = (proc.stdout, {p.name: p.read_bytes()
