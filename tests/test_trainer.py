@@ -420,6 +420,12 @@ class TestRunExperiment:
         assert len(rec.train_loss) <= 20
         assert not rec.diverged
 
+    def test_record_names_its_mode_and_seed(self):
+        cfg = dataclasses.replace(SANITY_CFG, epochs=1)
+        for mode, name in ((BnMode.L2, "l2"), (BnMode.L1, "l1"), (None, "none")):
+            rec = run_experiment(SANITY_TASK, sanity_spec(mode, seed=7), cfg)
+            assert (rec.mode, rec.seed) == (name, 7)
+
     def test_loss_averages_only_the_trained_rows(self):
         # 10 rows in batches of 3: the last batch holds 1 row and is skipped
         task = SyntheticTask(classes=2, dim=5, train_per_class=5, test_per_class=5, seed=3)
